@@ -177,16 +177,6 @@ def tsum(a) -> Tensor:
     return _node(a.data.sum(), (a,), bwd)
 
 
-def mean(a) -> Tensor:
-    a = as_tensor(a)
-    n = a.data.size
-
-    def bwd(g):
-        accumulate(a, np.full_like(a.data, float(g) / n))
-
-    return _node(a.data.mean(), (a,), bwd)
-
-
 def mse(a, b) -> Tensor:
     """Mean squared difference over all elements."""
     a, b = as_tensor(a), as_tensor(b)

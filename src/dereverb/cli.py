@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from . import autodiff as ad
 from . import corpus, evaluation, models, nn, trainer
 from .errors import (
     DereverbError,
@@ -87,7 +88,7 @@ def build_parser() -> _Parser:
                        help="train a model on cached examples")
     p.add_argument("--manifest", required=True)
     p.add_argument("--model", default="joint", choices=list(models.MODEL_KINDS))
-    p.add_argument("--scale", default="desk", choices=["desk", "paper"])
+    p.add_argument("--scale", default="desk", choices=list(models.SCALES))
     p.add_argument("--epochs", type=int, default=10)
     p.add_argument("--lr", type=float, default=1e-4)
     p.add_argument("--batch", type=int, default=4)
@@ -118,7 +119,7 @@ def build_parser() -> _Parser:
                        help="describe a checkpoint or a fresh model")
     p.add_argument("--ckpt", default=None)
     p.add_argument("--model", default=None, choices=list(models.MODEL_KINDS))
-    p.add_argument("--scale", default="desk", choices=["desk", "paper"])
+    p.add_argument("--scale", default="desk", choices=list(models.SCALES))
     _add_common(p)
     p.set_defaults(func=cmd_info)
     return parser
@@ -196,7 +197,7 @@ def cmd_train(args) -> int:
     config = trainer.TrainConfig(
         model=args.model, epochs=args.epochs, batch_size=args.batch,
         lr=args.lr, weights=_parse_weights(args.weights),
-        seed=derive_seed(args.seed, "train"), threads=args.threads,
+        seed=derive_seed(args.seed, "train"),
         checkpoint_every=args.checkpoint_every, scale=args.scale)
     train_examples = trainer.load_split_examples(manifest, examples_dir, "train")
     val_examples = trainer.load_split_examples(manifest, examples_dir, "val")
@@ -217,8 +218,7 @@ def cmd_gradcheck(args) -> int:
     for kind in kinds:
         model = models.build_tiny_model(
             kind, np.random.default_rng(derive_seed(args.seed, f"gradcheck-{kind}")))
-        shape = models.tiny_input_shape(kind)
-        x = rng_data.standard_normal(shape)
+        x = rng_data.standard_normal(models.tiny_input_shape(kind))
         err = _gradcheck_model(model, x, rng_data)
         worst = max(worst, err)
         print(f"gradcheck {kind}: max rel err {err:.3e}")
@@ -229,26 +229,15 @@ def cmd_gradcheck(args) -> int:
 
 
 def _gradcheck_model(model, x, rng) -> float:
-    from . import autodiff as ad
-
-    if model.kind == "joint":
+    spec = models.MODELS[model.kind]
+    if len(spec.heads) == 2:
         example = _tiny_loss_example(rng, x.shape, model.rir_frames)
-
-        def loss_fn():
-            dry_est, rir_est = model.forward(x)
-            total, *_ = models.joint_loss(dry_est, rir_est, example)
-            return total
-
-        eps = 1e-4  # deep composite: keep the quotient above rounding noise
-    elif model.kind == "rir":
-        target = rng.uniform(0.0, 1.0, (model.rir_frames, x.shape[1]))
-        loss_fn = lambda: ad.mse(model.forward(x), target)
-        eps = 1e-5
+        loss_fn = lambda: models.joint_loss(*model.forward(x), example)[0]
     else:
-        target = rng.standard_normal(x.shape)
+        target = (rng.uniform(0.0, 1.0, (model.rir_frames, x.shape[1]))
+                  if spec.heads == ("rir",) else rng.standard_normal(x.shape))
         loss_fn = lambda: ad.mse(model.forward(x), target)
-        eps = 1e-5
-    return nn.grad_check(loss_fn, [p for _, p in model.params()], eps=eps)
+    return nn.grad_check(loss_fn, [p for _, p in model.params()], eps=spec.grad_eps)
 
 
 def _tiny_loss_example(rng, input_shape, rir_frames):
@@ -286,9 +275,9 @@ def cmd_info(args) -> int:
     else:
         print("error: pass --ckpt or --model", file=sys.stderr)
         return EXIT_USAGE
-    config = model.config_dict()
+    config = models.config_to_dict(model.config)
     print(f"config: {config}")
-    if "layers" in config:
+    if isinstance(config.get("layers"), list):   # a conv stack, not a GRU depth
         stack = ", ".join(f"({kt}x{kf}, {c})" for kt, kf, c in config["layers"])
         print(f"conv stack: {stack}")
     total = 0

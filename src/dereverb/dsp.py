@@ -308,13 +308,6 @@ def normalize_spectrogram(mag: MagSpectrogram) -> MagSpectrogram:
     return MagSpectrogram(mag.mag / peak, scale=peak)
 
 
-def denormalize_spectrogram(mag: MagSpectrogram) -> MagSpectrogram:
-    """Undo :func:`normalize_spectrogram` exactly when scale > 0."""
-    if mag.scale == 0.0:
-        return mag
-    return MagSpectrogram(mag.mag * mag.scale, scale=0.0)
-
-
 # ---------------------------------------------------------------------------
 # Alignment helpers
 # ---------------------------------------------------------------------------

@@ -62,6 +62,13 @@ class ParseError(DereverbError):
         self.line = line
 
 
+def require_keys(obj, keys, what):
+    """Raise ParseError unless `obj` is a JSON object with exactly `keys`."""
+    if not isinstance(obj, dict) or obj.keys() != set(keys):
+        got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
+        raise ParseError(f"{what}: expected keys {sorted(keys)}, got {got}")
+
+
 # --- tensors / models ---
 class ShapeMismatch(DereverbError):
     """Operand shapes do not conform."""

@@ -121,26 +121,23 @@ def _rir_metrics(report, example_id, rir_est, example):
 
 
 def evaluate_model(model, examples, example_ids) -> MetricsReport:
-    """Forward every example and score it according to the model kind."""
+    """Forward every example and score each head the model's kind returns;
+    a model with both heads is also scored on the reverberant reconstruction."""
     if not examples:
         raise EmptySplit("no examples to evaluate")
     report = MetricsReport()
     with no_grad():
         for example_id, example in zip(example_ids, examples):
-            if model.kind == "joint":
-                dry_est, rir_est = model.forward(example.input_logmag)
-                _dry_metrics(report, example_id, dry_est.data, example)
-                _rir_metrics(report, example_id, rir_est.data, example)
+            est = models.estimates(model, example.input_logmag)
+            if "dry" in est:
+                _dry_metrics(report, example_id, est["dry"].data, example)
+            if "rir" in est:
+                _rir_metrics(report, example_id, est["rir"].data, example)
+            if len(est) == 2:
                 recon = models.reconstruct_reverb(
-                    rir_est.data, np.exp(example.dry_target_logmag))
+                    est["rir"].data, np.exp(example.dry_target_logmag))
                 report.add(example_id, "reconstruction_mse", float(np.mean(
                     (recon.data - example.reverb_target_mag) ** 2)))
-            elif model.kind == "rir":
-                rir_est = model.forward(example.input_logmag)
-                _rir_metrics(report, example_id, rir_est.data, example)
-            else:
-                dry_est = model.forward(example.input_logmag)
-                _dry_metrics(report, example_id, dry_est.data, example)
     return report
 
 

@@ -1,22 +1,25 @@
-"""Model architectures: per-frequency RIR estimator, residual Bi-GRU dry
-estimator, compact U-net, and the shared-trunk joint model with the
-differentiable reverberant reconstruction.
+"""Model architectures and the one table of what varies by model kind.
 
-Each model exposes `kind`, `config_dict()`, `params()` (stable name order,
-used by checkpoints) and `forward`. Inputs are log-magnitude spectrograms
-[frames x bins].
+Kinds: a per-frequency RIR estimator (`rir`), a residual Bi-GRU dry estimator
+(`dry-gru`), a compact U-net dry estimator (`dry-unet`), and the shared-trunk
+joint model (`joint`). Each takes a log-magnitude spectrogram [frames x bins]
+and exposes `kind`, `config`, `params()` (stable name order, used by
+checkpoints) and `forward`. `MODELS` maps each kind to its `ModelSpec`: model
+class, config dataclass, desk, paper and tiny config overrides, tiny input
+shape, the heads `forward` returns, and the gradient-check step. Builders,
+losses, scoring and the gradient check all look the kind up there.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from . import nn
 from .autodiff import Tensor, as_tensor
-from .errors import ShapeMismatch, WrongFrameCount
+from .errors import ParseError, ShapeMismatch, WrongFrameCount, require_keys
 
 # (time extent, freq extent, output channels); the final channel count
 # becomes the time axis of the estimated impulse response.
@@ -25,7 +28,7 @@ PAPER_RIR_LAYERS = ((9, 1, 16), (14, 1, 32), (27, 1, 64), (27, 1, 32),
 DESK_RIR_LAYERS = ((9, 1, 8), (14, 1, 8), (27, 1, 8), (27, 1, 8),
                    (27, 1, 8), (28, 1, 4), (187, 1, 126))
 
-MODEL_KINDS = ("rir", "dry-gru", "dry-unet", "joint")
+SCALES = ("desk", "paper")
 
 
 def _check_closure(layers, input_frames):
@@ -49,13 +52,23 @@ def _conv_stack_params(rng, layers, c_in, prefix):
     return params
 
 
-def _run_conv_stack(x, params, n_layers):
+def _run_conv_stack(h, params, relu_last=True):
     # ELU between layers, ReLU after the last (non-negative magnitudes)
-    h = x
+    n_layers = len(params) // 2
     for i in range(n_layers):
         h = nn.conv2d(h, params[2 * i][1], params[2 * i + 1][1])
-        h = ad.elu(h) if i < n_layers - 1 else ad.relu(h)
+        h = ad.relu(h) if relu_last and i == n_layers - 1 else ad.elu(h)
     return h
+
+
+def _framed_input(x, input_frames):
+    # [T, F] -> [T, F, 1] with T fixed by the valid conv stack
+    x = as_tensor(x)
+    if x.data.ndim == 2:
+        x = ad.reshape(x, (*x.data.shape, 1))
+    if x.data.shape[0] != input_frames:
+        raise WrongFrameCount(f"expected {input_frames} frames, got {x.data.shape[0]}")
+    return x
 
 
 def _channels_to_time(h):
@@ -69,15 +82,6 @@ class RirEstimatorConfig:
     layers: tuple = PAPER_RIR_LAYERS
     input_frames: int = 313
     bins: int = 257
-
-    def to_dict(self):
-        return {"layers": [list(l) for l in self.layers],
-                "input_frames": self.input_frames, "bins": self.bins}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(layers=tuple(tuple(l) for l in d["layers"]),
-                   input_frames=d["input_frames"], bins=d["bins"])
 
 
 class RirEstimator:
@@ -95,9 +99,6 @@ class RirEstimator:
         self.config = config
         self._params = _conv_stack_params(rng, config.layers, 1, "conv")
 
-    def config_dict(self):
-        return self.config.to_dict()
-
     def params(self):
         return list(self._params)
 
@@ -106,14 +107,44 @@ class RirEstimator:
         return self.config.layers[-1][2]
 
     def forward(self, x) -> Tensor:
-        x = as_tensor(x)
-        if x.data.ndim == 2:
-            x = ad.reshape(x, (*x.data.shape, 1))
-        if x.data.shape[0] != self.config.input_frames:
-            raise WrongFrameCount(
-                f"expected {self.config.input_frames} frames, got {x.data.shape[0]}")
-        h = _run_conv_stack(x, self._params, len(self.config.layers))
-        return _channels_to_time(h)
+        x = _framed_input(x, self.config.input_frames)
+        return _channels_to_time(_run_conv_stack(x, self._params))
+
+
+class ResidualBiGru:
+    """Residual bidirectional GRU stack over frames: [T, d_in] -> [T, d_out].
+
+    The input projection lifts each frame to twice the hidden width so the
+    concatenated directions can be added back residually; a final projection
+    maps to `d_out`. Parameters are drawn and listed in the order
+    `{prefix}in.*`, `{prefix}gru{i}.{fwd,bwd}.*`, `{prefix}out.*`.
+    """
+
+    def __init__(self, rng, d_in, hidden, layers, d_out, prefix=""):
+        width = 2 * hidden
+        self.params = [
+            (f"{prefix}in.weight", Tensor(nn.glorot_uniform(rng, (d_in, width)))),
+            (f"{prefix}in.bias", Tensor(np.zeros(width))),
+        ]
+        self.grus = []
+        for i in range(layers):
+            pair = (nn.GruParams(width, hidden, rng), nn.GruParams(width, hidden, rng))
+            self.grus.append(pair)
+            for direction, p in zip(("fwd", "bwd"), pair):
+                self.params += [(f"{prefix}gru{i}.{direction}.{name}", getattr(p, name))
+                                for name in nn.GruParams.FIELDS]
+        self.params += [
+            (f"{prefix}out.weight", Tensor(nn.glorot_uniform(rng, (width, d_out)))),
+            (f"{prefix}out.bias", Tensor(np.zeros(d_out))),
+        ]
+
+    def __call__(self, x) -> Tensor:
+        (_, w_in), (_, b_in) = self.params[:2]
+        (_, w_out), (_, b_out) = self.params[-2:]
+        h = nn.linear(x, w_in, b_in)
+        for fwd, bwd in self.grus:
+            h = ad.add(h, nn.bigru_layer(h, fwd, bwd))
+        return nn.linear(h, w_out, b_out)
 
 
 @dataclass
@@ -122,61 +153,27 @@ class DryGruConfig:
     layers: int = 3
     bins: int = 257
 
-    def to_dict(self):
-        return {"hidden": self.hidden, "layers": self.layers, "bins": self.bins}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(hidden=d["hidden"], layers=d["layers"], bins=d["bins"])
-
 
 class DryGruEstimator:
-    """Residual bidirectional GRU stack over spectrogram frames.
-
-    The input projection lifts each frame to twice the hidden width so the
-    concatenated directions can be added back residually; a final projection
-    returns to the bin count. Frame count is preserved for any input length.
-    """
+    """Residual Bi-GRU stack from bins to bins; frame count is preserved for
+    any input length."""
 
     kind = "dry-gru"
 
     def __init__(self, config: DryGruConfig, rng):
         self.config = config
-        width = 2 * config.hidden
-        self._params = [
-            ("in.weight", Tensor(nn.glorot_uniform(rng, (config.bins, width)))),
-            ("in.bias", Tensor(np.zeros(width))),
-        ]
-        self.grus = []
-        for i in range(config.layers):
-            fwd = nn.GruParams(width, config.hidden, rng)
-            bwd = nn.GruParams(width, config.hidden, rng)
-            self.grus.append((fwd, bwd))
-            for direction, p in (("fwd", fwd), ("bwd", bwd)):
-                for name in nn.GruParams.FIELDS:
-                    self._params.append(
-                        (f"gru{i}.{direction}.{name}", getattr(p, name)))
-        self._params += [
-            ("out.weight", Tensor(nn.glorot_uniform(rng, (width, config.bins)))),
-            ("out.bias", Tensor(np.zeros(config.bins))),
-        ]
-        self._by_name = dict(self._params)
-
-    def config_dict(self):
-        return self.config.to_dict()
+        self._head = ResidualBiGru(rng, config.bins, config.hidden, config.layers,
+                                   config.bins)
 
     def params(self):
-        return list(self._params)
+        return list(self._head.params)
 
     def forward(self, x) -> Tensor:
         x = as_tensor(x)
         if x.data.ndim != 2 or x.data.shape[1] != self.config.bins:
             raise ShapeMismatch(
                 f"expected [T, {self.config.bins}] input, got {x.data.shape}")
-        h = nn.linear(x, self._by_name["in.weight"], self._by_name["in.bias"])
-        for fwd, bwd in self.grus:
-            h = ad.add(h, nn.bigru_layer(h, fwd, bwd))
-        return nn.linear(h, self._by_name["out.weight"], self._by_name["out.bias"])
+        return self._head(x)
 
 
 @dataclass
@@ -185,15 +182,6 @@ class UnetConfig:
     base_channels: int = 8
     kernel: int = 4
     stride: int = 2
-
-    def to_dict(self):
-        return {"depth": self.depth, "base_channels": self.base_channels,
-                "kernel": self.kernel, "stride": self.stride}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(depth=d["depth"], base_channels=d["base_channels"],
-                   kernel=d["kernel"], stride=d["stride"])
 
 
 class UnetEstimator:
@@ -229,9 +217,6 @@ class UnetEstimator:
                 (f"dec{i}.kernel", Tensor(nn.glorot_uniform(rng, (k, k, c_out, c_dec_in)))))
             self._params.append((f"dec{i}.bias", Tensor(np.zeros(c_out))))
         self._by_name = dict(self._params)
-
-    def config_dict(self):
-        return self.config.to_dict()
 
     def params(self):
         return list(self._params)
@@ -281,19 +266,6 @@ class JointConfig:
     bins: int = 257
     weights: tuple = (1.0, 1.0, 1.0)
 
-    def to_dict(self):
-        return {"rir_layers": [list(l) for l in self.rir_layers],
-                "trunk_depth": self.trunk_depth, "hidden": self.hidden,
-                "gru_layers": self.gru_layers, "input_frames": self.input_frames,
-                "bins": self.bins, "weights": list(self.weights)}
-
-    @classmethod
-    def from_dict(cls, d):
-        return cls(rir_layers=tuple(tuple(l) for l in d["rir_layers"]),
-                   trunk_depth=d["trunk_depth"], hidden=d["hidden"],
-                   gru_layers=d["gru_layers"], input_frames=d["input_frames"],
-                   bins=d["bins"], weights=tuple(d["weights"]))
-
 
 class JointModel:
     """Shared trunk with an impulse-response head and a dry-speech head.
@@ -318,64 +290,26 @@ class JointModel:
         trunk_layers = config.rir_layers[:config.trunk_depth]
         head_layers = config.rir_layers[config.trunk_depth:]
         self._trunk = _conv_stack_params(rng, trunk_layers, 1, "trunk")
-        self._rir_head = _conv_stack_params(
-            rng, head_layers, trunk_layers[-1][2], "rir")
-
-        self.trunk_frames = config.input_frames - sum(
-            kt - 1 for kt, _, _ in trunk_layers)
+        self._rir_head = _conv_stack_params(rng, head_layers, trunk_layers[-1][2], "rir")
+        self.trunk_frames = config.input_frames - sum(kt - 1 for kt, _, _ in trunk_layers)
         trunk_width = config.bins * trunk_layers[-1][2]
-        width = 2 * config.hidden
-        self._dry_head = [
-            ("dry.in.weight", Tensor(nn.glorot_uniform(rng, (trunk_width, width)))),
-            ("dry.in.bias", Tensor(np.zeros(width))),
-        ]
-        self.grus = []
-        for i in range(config.gru_layers):
-            fwd = nn.GruParams(width, config.hidden, rng)
-            bwd = nn.GruParams(width, config.hidden, rng)
-            self.grus.append((fwd, bwd))
-            for direction, p in (("fwd", fwd), ("bwd", bwd)):
-                for name in nn.GruParams.FIELDS:
-                    self._dry_head.append(
-                        (f"dry.gru{i}.{direction}.{name}", getattr(p, name)))
-        self._dry_head += [
-            ("dry.out.weight", Tensor(nn.glorot_uniform(rng, (width, config.bins)))),
-            ("dry.out.bias", Tensor(np.zeros(config.bins))),
-        ]
-        self._by_name = dict(self._trunk + self._rir_head + self._dry_head)
-
-    def config_dict(self):
-        return self.config.to_dict()
+        self._dry_head = ResidualBiGru(rng, trunk_width, config.hidden,
+                                       config.gru_layers, config.bins, prefix="dry.")
 
     def params(self):
-        return self._trunk + self._rir_head + self._dry_head
+        return self._trunk + self._rir_head + self._dry_head.params
 
     @property
     def rir_frames(self):
         return self.config.rir_layers[-1][2]
 
     def forward(self, x):
-        x = as_tensor(x)
-        if x.data.ndim == 2:
-            x = ad.reshape(x, (*x.data.shape, 1))
-        if x.data.shape[0] != self.config.input_frames:
-            raise WrongFrameCount(
-                f"expected {self.config.input_frames} frames, got {x.data.shape[0]}")
-        trunk_n = self.config.trunk_depth
-        h = x
-        for i in range(trunk_n):
-            h = ad.elu(nn.conv2d(h, self._trunk[2 * i][1], self._trunk[2 * i + 1][1]))
-
-        head_n = len(self.config.rir_layers) - trunk_n
-        r = _run_conv_stack(h, self._rir_head, head_n)
-        rir_est = _channels_to_time(r)
+        h = _run_conv_stack(_framed_input(x, self.config.input_frames), self._trunk,
+                            relu_last=False)
+        rir_est = _channels_to_time(_run_conv_stack(h, self._rir_head))
 
         t, f, c = h.data.shape
-        d = ad.reshape(h, (t, f * c))
-        d = nn.linear(d, self._by_name["dry.in.weight"], self._by_name["dry.in.bias"])
-        for fwd, bwd in self.grus:
-            d = ad.add(d, nn.bigru_layer(d, fwd, bwd))
-        d = nn.linear(d, self._by_name["dry.out.weight"], self._by_name["dry.out.bias"])
+        d = self._dry_head(ad.reshape(h, (t, f * c)))
         missing = self.config.input_frames - t
         dry_est = ad.pad_rows_edge(d, missing // 2, missing - missing // 2)
         return dry_est, rir_est
@@ -435,73 +369,121 @@ def joint_loss(dry_est, rir_est, example, weights=(1.0, 1.0, 1.0)):
 
 
 # ---------------------------------------------------------------------------
-# Builders
+# The model table
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True)
+class ModelSpec:
+    """Everything that varies by model kind."""
+
+    model: type         # built as model(config, rng)
+    config: type        # its config dataclass
+    desk: dict          # config overrides per scale
+    paper: dict
+    tiny: dict          # miniature config for gradient checks and smoke training
+    tiny_input: tuple   # input shape the tiny model accepts
+    heads: tuple        # what forward returns, in order: "dry", "rir" or both
+    grad_eps: float     # finite-difference step of the tiny model's gradient check
+
+
+MODELS = {spec.model.kind: spec for spec in (
+    ModelSpec(RirEstimator, RirEstimatorConfig,
+              desk={"layers": DESK_RIR_LAYERS}, paper={"layers": PAPER_RIR_LAYERS},
+              tiny={"layers": ((3, 1, 2), (2, 1, 4), (5, 1, 4)),
+                    "input_frames": 8, "bins": 5},
+              tiny_input=(8, 5), heads=("rir",), grad_eps=1e-5),
+    ModelSpec(DryGruEstimator, DryGruConfig,
+              desk={"hidden": 64}, paper={"hidden": 380},
+              tiny={"hidden": 3, "layers": 2, "bins": 5},
+              tiny_input=(6, 5), heads=("dry",), grad_eps=1e-5),
+    ModelSpec(UnetEstimator, UnetConfig, desk={}, paper={},
+              tiny={"depth": 2, "base_channels": 2},
+              tiny_input=(16, 16), heads=("dry",), grad_eps=1e-5),
+    # deep composite: a larger step keeps the quotient above rounding noise
+    ModelSpec(JointModel, JointConfig,
+              desk={"rir_layers": DESK_RIR_LAYERS, "hidden": 64},
+              paper={"rir_layers": PAPER_RIR_LAYERS, "hidden": 380},
+              tiny={"rir_layers": ((3, 1, 2), (3, 1, 2), (3, 1, 2), (2, 1, 4)),
+                    "trunk_depth": 2, "hidden": 3, "gru_layers": 1,
+                    "input_frames": 8, "bins": 5},
+              tiny_input=(8, 5), heads=("dry", "rir"), grad_eps=1e-4),
+)}
+MODEL_KINDS = tuple(MODELS)
+HEAD_TARGETS = {"dry": "dry_target_logmag", "rir": "rir_target_mag"}  # example fields
+
+
+def _spec(kind) -> ModelSpec:
+    if kind not in MODEL_KINDS:
+        raise ValueError(f"unknown model kind {kind!r}")
+    return MODELS[kind]
+
+
+def _build(spec: ModelSpec, config, rng):
+    return spec.model(config, np.random.default_rng(0) if rng is None else rng)
+
+
+def estimates(model, x) -> dict:
+    """{head: estimate} of one forward pass, for the heads of the model's kind."""
+    heads = MODELS[model.kind].heads
+    out = model.forward(x)
+    return dict(zip(heads, out if len(heads) > 1 else (out,)))
+
+
 def build_model(kind: str, scale: str = "desk", rng=None, weights=None):
-    """Construct a model at the given scale ("desk" shrinks widths; "paper"
-    keeps every published dimension)."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if scale not in ("desk", "paper"):
+    """Construct a model at the given scale ("desk" shrinks widths; "paper" keeps
+    every published dimension), with the loss `weights` if its config has them."""
+    spec = _spec(kind)
+    if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}")
-    paper = scale == "paper"
-    if kind == "rir":
-        layers = PAPER_RIR_LAYERS if paper else DESK_RIR_LAYERS
-        return RirEstimator(RirEstimatorConfig(layers=layers), rng)
-    if kind == "dry-gru":
-        return DryGruEstimator(DryGruConfig(hidden=380 if paper else 64), rng)
-    if kind == "dry-unet":
-        return UnetEstimator(UnetConfig(), rng)
-    if kind == "joint":
-        config = JointConfig(
-            rir_layers=PAPER_RIR_LAYERS if paper else DESK_RIR_LAYERS,
-            hidden=380 if paper else 64)
-        if weights is not None:
-            config.weights = tuple(weights)
-        return JointModel(config, rng)
-    raise ValueError(f"unknown model kind {kind!r}")
+    overrides = dict(spec.desk if scale == "desk" else spec.paper)
+    if weights is not None and "weights" in [f.name for f in fields(spec.config)]:
+        overrides["weights"] = tuple(weights)
+    return _build(spec, spec.config(**overrides), rng)
 
 
 def build_model_from_config(kind: str, config: dict, rng=None):
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if kind == "rir":
-        return RirEstimator(RirEstimatorConfig.from_dict(config), rng)
-    if kind == "dry-gru":
-        return DryGruEstimator(DryGruConfig.from_dict(config), rng)
-    if kind == "dry-unet":
-        return UnetEstimator(UnetConfig.from_dict(config), rng)
-    if kind == "joint":
-        return JointModel(JointConfig.from_dict(config), rng)
-    raise ValueError(f"unknown model kind {kind!r}")
+    """Rebuild a persisted model; a kind or config that describes none is a ParseError."""
+    try:
+        spec = _spec(kind)
+        return _build(spec, config_from_dict(spec.config, config), rng)
+    except ValueError as exc:
+        raise ParseError(f"{kind!r} model: {exc}") from exc
 
 
 def build_tiny_model(kind: str, rng=None):
     """Miniature configurations for gradient checking and smoke training."""
-    if rng is None:
-        rng = np.random.default_rng(0)
-    if kind == "rir":
-        return RirEstimator(RirEstimatorConfig(
-            layers=((3, 1, 2), (2, 1, 4), (5, 1, 4)), input_frames=8, bins=5), rng)
-    if kind == "dry-gru":
-        return DryGruEstimator(DryGruConfig(hidden=3, layers=2, bins=5), rng)
-    if kind == "dry-unet":
-        return UnetEstimator(UnetConfig(depth=2, base_channels=2), rng)
-    if kind == "joint":
-        return JointModel(JointConfig(
-            rir_layers=((3, 1, 2), (3, 1, 2), (3, 1, 2), (2, 1, 4)),
-            trunk_depth=2, hidden=3, gru_layers=1, input_frames=8, bins=5), rng)
-    raise ValueError(f"unknown model kind {kind!r}")
+    spec = _spec(kind)
+    return _build(spec, spec.config(**spec.tiny), rng)
 
 
 def tiny_input_shape(kind: str):
-    if kind == "rir":
-        return (8, 5)
-    if kind == "dry-gru":
-        return (6, 5)
-    if kind == "dry-unet":
-        return (16, 16)
-    if kind == "joint":
-        return (8, 5)
-    raise ValueError(f"unknown model kind {kind!r}")
+    return _spec(kind).tiny_input
+
+
+def _convert(value, to):
+    # lists <-> tuples, recursively
+    return to(_convert(v, to) for v in value) if isinstance(value, (list, tuple)) else value
+
+
+def config_to_dict(config) -> dict:
+    """JSON-native form of a config dataclass: tuples become lists."""
+    return {k: _convert(v, list) for k, v in asdict(config).items()}
+
+
+def _fits(value, default) -> bool:
+    # shaped like the field's default: list for tuple, number for float, int > 0 for int
+    if isinstance(default, tuple):
+        return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
+    if isinstance(default, float):
+        return type(value) in (int, float)
+    return type(value) is int and value > 0
+
+
+def config_from_dict(cls, data):
+    """Inverse of `config_to_dict`: every field present, none extra, each
+    fitting its default's structure; lists become tuples."""
+    require_keys(data, [f.name for f in fields(cls)], cls.__name__)
+    for f in fields(cls):
+        if not _fits(data[f.name], f.default):
+            raise ParseError(f"{cls.__name__}.{f.name}: bad value {data[f.name]!r}")
+    return cls(**{k: _convert(v, tuple) for k, v in data.items()})

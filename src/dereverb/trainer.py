@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -26,6 +26,7 @@ from .errors import (
     NonFiniteLoss,
     ParseError,
     VersionMismatch,
+    require_keys,
 )
 from .nn import Adam
 from .seeding import rng_for
@@ -33,6 +34,7 @@ from .seeding import rng_for
 CKPT_MAGIC = b"DRVB"
 CKPT_VERSION = 1
 VAL_LIMIT = 32  # validation examples scored per epoch
+ADAM_STATE = ("t", "lr", "beta1", "beta2", "eps")  # optimizer attributes a checkpoint keeps
 
 
 @dataclass
@@ -43,7 +45,6 @@ class TrainConfig:
     lr: float = 1e-4
     weights: tuple = (1.0, 1.0, 1.0)
     seed: int = 0
-    threads: int = 1
     checkpoint_every: int = 0   # 0: only the final checkpoint is written
     scale: str = "desk"
 
@@ -106,11 +107,14 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"{path}: truncated metadata")
     try:
         meta = json.loads(raw[16:16 + meta_len])
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:   # not UTF-8 or not JSON
         raise ParseError(f"{path}: bad metadata: {exc}") from exc
+    require_keys(meta, [f.name for f in fields(Checkpoint)], f"{path}: metadata")
+    require_keys(meta["adam"], ADAM_STATE, f"{path}: adam")
     tensors = {}
     offset = 16 + meta_len
     for entry in meta["tensors"]:
+        require_keys(entry, ("name", "shape", "dtype"), f"{path}: tensor entry")
         count = int(np.prod(entry["shape"])) if entry["shape"] else 1
         width = 4 if entry["dtype"] == "f4" else 8
         if offset + count * width > len(raw):
@@ -119,9 +123,7 @@ def load_checkpoint(path) -> Checkpoint:
                             offset=offset)
         tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
         offset += count * width
-    return Checkpoint(kind=meta["kind"], config=meta["config"],
-                      epoch=meta["epoch"], adam=meta["adam"],
-                      rng_state=meta["rng_state"], tensors=tensors)
+    return Checkpoint(**{**meta, "tensors": tensors})
 
 
 def checkpoint_from_state(model, opt: Adam, epoch: int, shuffle_rng) -> Checkpoint:
@@ -131,36 +133,33 @@ def checkpoint_from_state(model, opt: Adam, epoch: int, shuffle_rng) -> Checkpoi
         tensors["m." + name] = m.copy()
         tensors["v." + name] = v.copy()
     return Checkpoint(
-        kind=model.kind, config=model.config_dict(), epoch=epoch,
-        adam={"t": opt.t, "lr": opt.lr, "beta1": opt.beta1,
-              "beta2": opt.beta2, "eps": opt.eps},
+        kind=model.kind, config=models.config_to_dict(model.config), epoch=epoch,
+        adam={key: getattr(opt, key) for key in ADAM_STATE},
         rng_state=shuffle_rng.bit_generator.state,
         tensors=tensors)
+
+
+def _stored(ckpt: Checkpoint, key, shape) -> np.ndarray:
+    stored = ckpt.tensors.get(key)
+    if stored is None or tuple(stored.shape) != shape:
+        raise ParseError(f"checkpoint tensor {key!r} is missing or not of shape {shape}")
+    return stored.astype(np.float64)
 
 
 def restore_model(ckpt: Checkpoint):
     """Rebuild the model and overwrite its parameters from the checkpoint."""
     model = models.build_model_from_config(ckpt.kind, ckpt.config)
     for name, p in model.params():
-        stored = ckpt.tensors.get("p." + name)
-        if stored is None:
-            raise ParseError(f"checkpoint is missing tensor {name!r}")
-        if tuple(stored.shape) != p.data.shape:
-            raise ParseError(
-                f"tensor {name!r} has shape {stored.shape}, expected {p.data.shape}")
-        p.data = stored.astype(np.float64)
+        p.data = _stored(ckpt, "p." + name, p.data.shape)
     return model
 
 
 def _restore_optimizer(model, ckpt: Checkpoint) -> Adam:
-    opt = Adam([p for _, p in model.params()],
-               lr=ckpt.adam["lr"], beta1=ckpt.adam["beta1"],
-               beta2=ckpt.adam["beta2"], eps=ckpt.adam["eps"])
-    opt.t = ckpt.adam["t"]
-    opt.m = [ckpt.tensors["m." + name].astype(np.float64)
-             for name, _ in model.params()]
-    opt.v = [ckpt.tensors["v." + name].astype(np.float64)
-             for name, _ in model.params()]
+    opt = Adam([p for _, p in model.params()])
+    for key in ADAM_STATE:
+        setattr(opt, key, ckpt.adam[key])
+    opt.m = [_stored(ckpt, "m." + name, p.data.shape) for name, p in model.params()]
+    opt.v = [_stored(ckpt, "v." + name, p.data.shape) for name, p in model.params()]
     return opt
 
 
@@ -169,16 +168,17 @@ def _restore_optimizer(model, ckpt: Checkpoint) -> Adam:
 # ---------------------------------------------------------------------------
 
 def example_losses(model, example, weights):
-    """(total, l_dry, l_rir, l_rec) tensors for one example."""
-    if model.kind == "joint":
-        dry_est, rir_est = model.forward(example.input_logmag)
-        return models.joint_loss(dry_est, rir_est, example, weights)
+    """(total, l_dry, l_rir, l_rec) tensors for one example: the joint loss
+    for a model with both heads, else the one head's MSE as total and as its
+    own component, the others zero."""
+    est = models.estimates(model, example.input_logmag)
+    if len(est) == 2:
+        return models.joint_loss(est["dry"], est["rir"], example, weights)
     zero = ad.Tensor(0.0)
-    if model.kind == "rir":
-        loss = ad.mse(model.forward(example.input_logmag), example.rir_target_mag)
-        return loss, zero, loss, zero
-    loss = ad.mse(model.forward(example.input_logmag), example.dry_target_logmag)
-    return loss, loss, zero, zero
+    losses = {head: ad.mse(value, getattr(example, models.HEAD_TARGETS[head]))
+              for head, value in est.items()}
+    (total,) = losses.values()
+    return total, losses.get("dry", zero), losses.get("rir", zero), zero
 
 
 def _component_values(parts):
@@ -206,16 +206,18 @@ def train(config: TrainConfig, train_examples, val_examples=(),
         if start.kind != config.model:
             raise KindMismatch(
                 f"checkpoint holds {start.kind!r}, config wants {config.model!r}")
+        if config.epochs <= start.epoch:
+            raise ValueError(f"epochs must be at least {start.epoch + 1} "
+                             f"to resume after epoch {start.epoch}")
         model = restore_model(start)
         opt = _restore_optimizer(model, start)
         shuffle_rng = np.random.default_rng()
         shuffle_rng.bit_generator.state = start.rng_state
         first_epoch = start.epoch + 1
     else:
-        weights = config.weights if config.model == "joint" else None
         model = models.build_model(config.model, scale=config.scale,
                                    rng=rng_for(config.seed, "init"),
-                                   weights=weights)
+                                   weights=config.weights)
         opt = Adam([p for _, p in model.params()], lr=config.lr)
         shuffle_rng = rng_for(config.seed, "shuffle")
         first_epoch = 1
@@ -259,13 +261,6 @@ def train(config: TrainConfig, train_examples, val_examples=(),
     if log_path:
         write_log(rows, log_path)
     return model, rows, final
-
-
-def resume(checkpoint: Checkpoint, config: TrainConfig, train_examples,
-           val_examples=(), checkpoint_path=None, log_path=None):
-    """Continue training to config.epochs from a saved checkpoint."""
-    return train(config, train_examples, val_examples, start=checkpoint,
-                 checkpoint_path=checkpoint_path, log_path=log_path)
 
 
 def write_log(rows, path) -> None:

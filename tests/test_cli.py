@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dereverb import cli, corpus, dsp
+from dereverb import cli, corpus, dsp, models, nn, trainer
 from conftest import make_dry_clip, make_rir_clip
 
 
@@ -201,6 +201,22 @@ def test_info_paper_rir_prints_stack(capsys):
     assert "(9x1, 16), (14x1, 32), (27x1, 64), (27x1, 32), (27x1, 16), " \
            "(28x1, 4), (187x1, 126)" in out
     assert "parameters:" in out
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_info_fresh_model_of_each_kind(kind, capsys):
+    assert run(["info", "--model", kind]) == 0
+    assert "parameters:" in capsys.readouterr().out
+
+
+def test_info_malformed_checkpoint_config_exits_2(tmp_path, capsys):
+    model = models.build_tiny_model("joint", np.random.default_rng(0))
+    opt = nn.Adam([p for _, p in model.params()])
+    ckpt = trainer.checkpoint_from_state(model, opt, 1, np.random.default_rng(0))
+    del ckpt.config["hidden"]
+    trainer.save_checkpoint(ckpt, tmp_path / "m.ckpt")
+    assert run(["info", "--ckpt", str(tmp_path / "m.ckpt")]) == 2
+    assert "hidden" in capsys.readouterr().err
 
 
 def test_info_requires_source():

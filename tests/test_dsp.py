@@ -274,8 +274,6 @@ def test_normalize_spectrogram():
     out = dsp.normalize_spectrogram(mag)
     assert out.mag.max() == 1.0
     assert out.scale == 4.0
-    back = dsp.denormalize_spectrogram(out)
-    np.testing.assert_array_equal(back.mag, mag.mag)
 
 
 def test_normalize_all_zero():

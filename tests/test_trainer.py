@@ -1,8 +1,20 @@
+import dataclasses
+import json
+import struct
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dereverb import models, trainer
-from dereverb.errors import KindMismatch, NonFiniteLoss, ParseError, VersionMismatch
+from dereverb.errors import (
+    DereverbError,
+    KindMismatch,
+    NonFiniteLoss,
+    ParseError,
+    VersionMismatch,
+)
 from test_models import tiny_example
 
 
@@ -75,14 +87,16 @@ def test_config_validation():
 
 # --- checkpoints -----------------------------------------------------------
 
-def test_checkpoint_round_trip(tmp_path, tiny_models):
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_checkpoint_round_trip(tmp_path, tiny_models, kind):
     examples = tiny_examples(2)
     path = tmp_path / "model.ckpt"
-    model, _, final = trainer.train(tiny_config(epochs=2), examples,
+    model, _, final = trainer.train(tiny_config(model=kind, epochs=2), examples,
                                     checkpoint_path=path)
     back = trainer.load_checkpoint(path)
     assert back.kind == final.kind
     assert back.epoch == final.epoch
+    assert back.config == final.config  # JSON-native: lists, not tuples
     for name, arr in final.tensors.items():
         np.testing.assert_array_equal(back.tensors[name], arr)
 
@@ -112,7 +126,7 @@ def test_resume_matches_uninterrupted_run(tmp_path, tiny_models):
     path = tmp_path / "half.ckpt"
     trainer.train(tiny_config(epochs=3), examples, checkpoint_path=path)
     ckpt = trainer.load_checkpoint(path)
-    resumed = trainer.resume(ckpt, tiny_config(epochs=6), examples)[1]
+    resumed = trainer.train(tiny_config(epochs=6), examples, start=ckpt)[1]
 
     assert [r[:2] for r in full[3:]] == [r[:2] for r in resumed]
     for row_full, row_resumed in zip(full[3:], resumed):
@@ -127,7 +141,21 @@ def test_resume_kind_mismatch(tmp_path, tiny_models):
                   checkpoint_path=path)
     ckpt = trainer.load_checkpoint(path)
     with pytest.raises(KindMismatch):
-        trainer.resume(ckpt, tiny_config(model="rir", epochs=2), examples)
+        trainer.train(tiny_config(model="rir", epochs=2), examples, start=ckpt)
+
+
+@pytest.mark.parametrize("epochs", [2, 3])
+def test_resume_rejects_epochs_already_done(tmp_path, tiny_models, monkeypatch, epochs):
+    path = tmp_path / "m.ckpt"
+    trainer.train(tiny_config(epochs=3), tiny_examples(1), checkpoint_path=path)
+    ckpt = trainer.load_checkpoint(path)
+
+    def no_build(*args, **kwargs):
+        raise AssertionError("a model was built")
+
+    monkeypatch.setattr(models, "build_model_from_config", no_build)
+    with pytest.raises(ValueError, match="epochs must be at least 4"):
+        trainer.train(tiny_config(epochs=epochs), tiny_examples(1), start=ckpt)
 
 
 def test_checkpoint_rejects_truncation(tmp_path, tiny_models):
@@ -147,6 +175,87 @@ def test_checkpoint_rejects_bad_version(tmp_path, tiny_models):
     path.write_bytes(bytes(raw))
     with pytest.raises(VersionMismatch):
         trainer.load_checkpoint(path)
+
+
+def rewrite_metadata(path, edit):
+    """Apply `edit` to the JSON metadata of a checkpoint file in place."""
+    raw = path.read_bytes()
+    magic, version, meta_len = struct.unpack_from("<4sIQ", raw, 0)
+    meta = json.loads(raw[16:16 + meta_len])
+    edit(meta)
+    body = json.dumps(meta, sort_keys=True).encode()
+    path.write_bytes(struct.pack("<4sIQ", magic, version, len(body)) + body
+                     + raw[16 + meta_len:])
+
+
+@pytest.mark.parametrize("edit", [
+    lambda meta: meta["config"].pop("hidden"),
+    lambda meta: meta["config"].update(extra=1),
+    lambda meta: meta["config"].update(hidden="64"),
+    lambda meta: meta["config"].update(rir_layers=[[1, 1]]),
+    lambda meta: meta.update(kind="nope"),
+    lambda meta: meta.pop("adam"),
+    lambda meta: meta["adam"].pop("lr"),
+    lambda meta: meta["tensors"][0].pop("shape"),
+], ids=["missing-key", "extra-key", "bad-type", "bad-layer", "unknown-kind",
+        "no-adam", "adam-key", "tensor-key"])
+def test_malformed_checkpoint_metadata_is_a_parse_error(tmp_path, tiny_models, edit):
+    path = tmp_path / "m.ckpt"
+    trainer.train(tiny_config(epochs=1), tiny_examples(1), checkpoint_path=path)
+    before = path.read_bytes()
+    rewrite_metadata(path, lambda meta: None)
+    assert path.read_bytes() == before  # the rewrite alone changes nothing
+    rewrite_metadata(path, edit)
+    with pytest.raises(ParseError):
+        trainer.restore_model(trainer.load_checkpoint(path))
+
+
+def json_containers(inner):
+    return st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner,
+                                                         max_size=3)
+
+
+# small numbers keep every model a config could describe small
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers(-2, 6) | st.floats(-2, 6) | st.text(max_size=3),
+    json_containers, max_leaves=12)
+
+
+def shaped_like(default):
+    """Small JSON values with the structure of a config field's default."""
+    if isinstance(default, tuple):
+        return st.lists(shaped_like(default[0]), min_size=1, max_size=4)
+    if isinstance(default, float):
+        return st.floats(0, 2)
+    return st.integers(1, 4)
+
+
+@st.composite
+def config_objects(draw):
+    """A kind and a JSON object over its config's field names, now and then
+    with a key dropped or added; most values are shaped like the field, the
+    rest are any JSON value, so both buildable and broken configs occur."""
+    kind = draw(st.sampled_from(models.MODEL_KINDS))
+    config = {f.name: draw(st.one_of(*[shaped_like(f.default)] * 3, json_values))
+              for f in dataclasses.fields(models.MODELS[kind].config)}
+    change = draw(st.sampled_from(["none", "none", "drop", "add"]))
+    if change == "drop":
+        config.pop(draw(st.sampled_from(sorted(config))))
+    elif change == "add":
+        config["extra"] = draw(json_values)
+    return kind, config
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(config_objects())
+def test_any_json_config_builds_a_model_or_raises_a_dereverb_error(case):
+    kind, config = case
+    try:
+        model = models.build_model_from_config(kind, config)
+    except DereverbError:
+        return
+    assert models.config_to_dict(model.config) == config
 
 
 def test_log_file_format(tmp_path, tiny_models):
