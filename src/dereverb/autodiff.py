@@ -40,8 +40,8 @@ class Tensor:
     def __init__(self, data, parents=(), bwd=None):
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = None
-        self.parents = parents if _grad_enabled else ()
-        self.bwd = bwd if _grad_enabled else None
+        self.parents = parents
+        self.bwd = bwd
         self.seq = next(_counter)
 
     @property
@@ -332,11 +332,6 @@ def slice2d(a, t0, t1, f0, f1) -> Tensor:
         accumulate(a, np.pad(g, widths))
 
     return _node(a.data[t0:t1, f0:f1], (a,), bwd)
-
-
-def crop(a, t, f) -> Tensor:
-    """Keep the leading [t, f] block of the first two axes."""
-    return slice2d(a, 0, t, 0, f)
 
 
 def pad_rows_edge(a, front, back) -> Tensor:

@@ -2,7 +2,9 @@
 
 Exit codes: 0 ok, 1 I/O failure, 2 data problem, 3 numeric failure,
 64 usage. All randomness fans out from --seed through named streams, so any
-subcommand is bit-reproducible at --threads 1.
+subcommand is bit-reproducible when BLAS runs one thread
+(OPENBLAS_NUM_THREADS=1); with more, GEMM summation order and so training
+bytes may change. --threads sets only synth's worker count.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="master random seed")
     p.add_argument("--threads", type=int,
                    default=int(os.environ.get("DEREVERB_THREADS", "1")),
-                   help="worker threads (reproducibility is defined at 1)")
+                   help="worker threads for synth")
 
 
 def _print_config(args):

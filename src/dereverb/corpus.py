@@ -13,7 +13,7 @@ import logging
 import re
 import struct
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -27,6 +27,7 @@ from .errors import (
     NoFilesFound,
     ParseError,
     VersionMismatch,
+    require_keys,
 )
 
 log = logging.getLogger(__name__)
@@ -356,16 +357,16 @@ def load_example(path) -> TrainingExample:
 # Manifest persistence (one JSON object per line)
 # ---------------------------------------------------------------------------
 
+# record kind -> (record dataclass, the CorpusManifest list holding it),
+# in the order the records are written
+RECORD_KINDS = {"rir": (RirRecord, "rirs"), "pair": (PairRecord, "pairs")}
+
+
 def save_manifest(manifest: CorpusManifest, path) -> None:
     lines = [json.dumps({"version": manifest.version}, sort_keys=True)]
-    for r in manifest.rirs:
-        lines.append(json.dumps(
-            {"kind": "rir", "id": r.id, "path": r.path, "group_key": r.group_key,
-             "split": r.split, "duration_s": r.duration_s}, sort_keys=True))
-    for p in manifest.pairs:
-        lines.append(json.dumps(
-            {"kind": "pair", "dry_path": p.dry_path, "rir_id": p.rir_id,
-             "seed": p.seed}, sort_keys=True))
+    for kind, (_, attr) in RECORD_KINDS.items():
+        lines += [json.dumps({"kind": kind, **asdict(r)}, sort_keys=True)
+                  for r in getattr(manifest, attr)]
     Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
 
 
@@ -390,20 +391,12 @@ def load_manifest(path) -> CorpusManifest:
             manifest.version = obj["version"]
             header_seen = True
             continue
-        kind = obj.get("kind")
-        try:
-            if kind == "rir":
-                manifest.rirs.append(RirRecord(
-                    id=obj["id"], path=obj["path"], group_key=obj["group_key"],
-                    split=obj["split"], duration_s=obj["duration_s"]))
-            elif kind == "pair":
-                manifest.pairs.append(PairRecord(
-                    dry_path=obj["dry_path"], rir_id=obj["rir_id"],
-                    seed=obj["seed"]))
-            else:
-                raise ParseError(f"unknown record kind {kind!r}", line=lineno)
-        except KeyError as exc:
-            raise ParseError(f"missing field {exc}", line=lineno) from exc
+        kind = obj.pop("kind", None)
+        if not isinstance(kind, str) or kind not in RECORD_KINDS:
+            raise ParseError(f"unknown record kind {kind!r}", line=lineno)
+        cls, attr = RECORD_KINDS[kind]
+        require_keys(obj, [f.name for f in fields(cls)], f"{kind} record", line=lineno)
+        getattr(manifest, attr).append(cls(**obj))
     if not header_seen:
         raise ParseError("empty manifest", line=1)
     return manifest

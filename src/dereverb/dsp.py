@@ -128,12 +128,15 @@ def read_wav(path) -> AudioClip:
     audio_format, channels, sample_rate, _, _, bits = fmt
     if audio_format == 0xFFFE and len(data) > 0:
         raise UnsupportedFormat(f"{path}: extensible WAV not supported")
-    if audio_format == 1 and bits == 16:
-        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
-    elif audio_format == 3 and bits == 32:
-        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
-    else:
+    if (audio_format, bits) not in ((1, 16), (3, 32)):
         raise UnsupportedFormat(f"{path}: format code {audio_format}, {bits}-bit")
+    if len(data) % (bits // 8):
+        raise CorruptHeader(f"{path}: data chunk of {len(data)} bytes "
+                            f"is not a whole number of {bits}-bit samples")
+    if audio_format == 1:
+        samples = np.frombuffer(data, dtype="<i2").astype(np.float64) / 32768.0
+    else:
+        samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
     if channels < 1 or sample_rate <= 0:
         raise CorruptHeader(f"{path}: bad fmt chunk")
     if samples.size == 0:
@@ -207,15 +210,6 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 # ---------------------------------------------------------------------------
 # Convolution
 # ---------------------------------------------------------------------------
-
-def convolve_direct(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Full linear convolution by direct summation, length len(x)+len(h)-1."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if x.size == 0 or h.size == 0:
-        raise ValueError("convolution operands must be non-empty")
-    return np.convolve(x, h)
-
 
 def convolve_fft(x: np.ndarray, h: np.ndarray) -> np.ndarray:
     """Full linear convolution via a zero-padded FFT (next power of two)."""

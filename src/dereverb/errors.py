@@ -62,11 +62,11 @@ class ParseError(DereverbError):
         self.line = line
 
 
-def require_keys(obj, keys, what):
+def require_keys(obj, keys, what, line=None):
     """Raise ParseError unless `obj` is a JSON object with exactly `keys`."""
     if not isinstance(obj, dict) or obj.keys() != set(keys):
         got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
-        raise ParseError(f"{what}: expected keys {sorted(keys)}, got {got}")
+        raise ParseError(f"{what}: expected keys {sorted(keys)}, got {got}", line=line)
 
 
 # --- tensors / models ---

@@ -253,7 +253,7 @@ class UnetEstimator:
                 h = ad.elu(h)
                 h = ad.concat([h, skips[i - 1]], axis=2)
         h = ad.reshape(h, h.data.shape[:2])
-        return ad.crop(h, t, f)
+        return ad.slice2d(h, 0, t, 0, f)
 
 
 @dataclass

@@ -18,6 +18,7 @@ from .autodiff import (
     as_tensor,
     backward,
     concat,
+    matmul,
     no_grad,
     row,
     sigmoid,
@@ -33,6 +34,54 @@ def _same_padding(size, k, s):
     return max((out - 1) * s + k - size, 0)
 
 
+# The three tap loops below are the whole convolution core: conv2d and
+# conv2d_transposed are each other's adjoint and share them. Each kernel tap
+# (i, j) is one GEMM over a strided window of the [T,F,C] operand; for a
+# k_f == 1, stride-1 stack that window is a contiguous block of rows, so the
+# GEMM reads it in place.
+
+def _window(i, j, stride, out_shape):
+    """Rows and columns of the input that tap (i, j) reads for out_shape."""
+    (s_t, s_f), (t_out, f_out) = stride, out_shape[:2]
+    return (slice(i, i + s_t * (t_out - 1) + 1, s_t),
+            slice(j, j + s_f * (f_out - 1) + 1, s_f))
+
+
+def _correlate(x, kernel, stride):
+    """Valid strided cross-correlation: [T,F,Cin] with [kT,kF,Cin,Cout] -> [T',F',Cout]."""
+    k_t, k_f, c_in, c_out = kernel.shape
+    shape = ((x.shape[0] - k_t) // stride[0] + 1, (x.shape[1] - k_f) // stride[1] + 1, c_out)
+    out = np.zeros(shape)
+    for i in range(k_t):
+        for j in range(k_f):
+            piece = x[_window(i, j, stride, shape)]
+            out += (piece.reshape(-1, c_in) @ kernel[i, j]).reshape(shape)
+    return out
+
+
+def _correlate_adjoint(g, kernel, stride, shape):
+    """Adjoint of :func:`_correlate` in its input: [T',F',Cout] -> `shape` [T,F,Cin]."""
+    k_t, k_f, c_in, c_out = kernel.shape
+    g2 = g.reshape(-1, c_out)
+    out = np.zeros(shape)
+    for i in range(k_t):
+        for j in range(k_f):
+            out[_window(i, j, stride, g.shape)] += \
+                (g2 @ kernel[i, j].T).reshape(*g.shape[:2], c_in)
+    return out
+
+
+def _kernel_grad(x, g, kernel_shape, stride):
+    """Gradient of <_correlate(x, k), g> in k."""
+    k_t, k_f, c_in, c_out = kernel_shape
+    g2 = g.reshape(-1, c_out)
+    gk = np.zeros(kernel_shape)
+    for i in range(k_t):
+        for j in range(k_f):
+            gk[i, j] = x[_window(i, j, stride, g.shape)].reshape(-1, c_in).T @ g2
+    return gk
+
+
 def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid") -> Tensor:
     """2-D convolution: [T,F,Cin] with kernel [kT,kF,Cin,Cout] -> [T',F',Cout].
 
@@ -42,75 +91,33 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid") -> Tensor:
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ShapeMismatch(f"conv2d on {x.data.shape} with {kernel.data.shape}")
-    k_t, k_f, c_in, c_out = kernel.data.shape
+    k_t, k_f, c_in, _ = kernel.data.shape
     if x.data.shape[2] != c_in:
         raise ShapeMismatch(f"input has {x.data.shape[2]} channels, kernel wants {c_in}")
-    s_t, s_f = stride
 
     if padding == "same":
-        pad_t = _same_padding(x.data.shape[0], k_t, s_t)
-        pad_f = _same_padding(x.data.shape[1], k_f, s_f)
-        pads = ((pad_t // 2, pad_t - pad_t // 2), (pad_f // 2, pad_f - pad_f // 2), (0, 0))
+        pad_t = _same_padding(x.data.shape[0], k_t, stride[0])
+        pad_f = _same_padding(x.data.shape[1], k_f, stride[1])
+        t0, f0 = pad_t // 2, pad_f // 2
+        xd = np.pad(x.data, ((t0, pad_t - t0), (f0, pad_f - f0), (0, 0)))
     elif padding == "valid":
-        pads = ((0, 0), (0, 0), (0, 0))
+        t0 = f0 = 0
+        xd = x.data
     else:
         raise ValueError(f"unknown padding {padding!r}")
-    xd = np.pad(x.data, pads) if padding == "same" else x.data
-
     t_in, f_in = xd.shape[:2]
     if k_t > t_in or k_f > f_in:
         raise ShapeMismatch(f"kernel {k_t}x{k_f} larger than padded input {t_in}x{f_in}")
-    t_out = (t_in - k_t) // s_t + 1
-    f_out = (f_in - k_f) // s_f + 1
 
-    # per-frequency stride-1 stacks: rows (t+i)*F+f form contiguous blocks of
-    # the flattened input, so each tap is a single copy-free GEMM
-    fast = k_f == 1 and s_t == 1 and s_f == 1 and padding == "valid"
-    if fast:
-        x2 = xd.reshape(-1, c_in)
-        rows = t_out * f_in
-        out2 = np.zeros((rows, c_out))
-        for i in range(k_t):
-            out2 += x2[i * f_in:i * f_in + rows] @ kernel.data[i, 0]
-        out = out2.reshape(t_out, f_out, c_out)
-    else:
-        out = np.zeros((t_out, f_out, c_out))
-        for i in range(k_t):
-            for j in range(k_f):
-                piece = xd[i:i + s_t * (t_out - 1) + 1:s_t,
-                           j:j + s_f * (f_out - 1) + 1:s_f]
-                out += (piece.reshape(-1, c_in) @ kernel.data[i, j]) \
-                    .reshape(t_out, f_out, c_out)
+    out = _correlate(xd, kernel.data, stride)
     if bias is not None:
         bias = as_tensor(bias)
         out = out + bias.data
 
     def bwd(g):
-        g2 = np.ascontiguousarray(g.reshape(-1, c_out))
-        gk = np.zeros_like(kernel.data)
-        if fast:
-            x2 = xd.reshape(-1, c_in)
-            rows = t_out * f_in
-            gx2 = np.zeros_like(x2)
-            for i in range(k_t):
-                gk[i, 0] = x2[i * f_in:i * f_in + rows].T @ g2
-                gx2[i * f_in:i * f_in + rows] += g2 @ kernel.data[i, 0].T
-            gx = gx2.reshape(xd.shape)
-        else:
-            gx = np.zeros_like(xd)
-            for i in range(k_t):
-                for j in range(k_f):
-                    piece = xd[i:i + s_t * (t_out - 1) + 1:s_t,
-                               j:j + s_f * (f_out - 1) + 1:s_f]
-                    gk[i, j] = piece.reshape(-1, c_in).T @ g2
-                    gx[i:i + s_t * (t_out - 1) + 1:s_t,
-                       j:j + s_f * (f_out - 1) + 1:s_f] += \
-                        (g2 @ kernel.data[i, j].T).reshape(t_out, f_out, c_in)
-        accumulate(kernel, gk)
-        if padding == "same":
-            (p0, _), (q0, _), _ = pads
-            gx = gx[p0:p0 + x.data.shape[0], q0:q0 + x.data.shape[1]]
-        accumulate(x, gx)
+        accumulate(kernel, _kernel_grad(xd, g, kernel.data.shape, stride))
+        gx = _correlate_adjoint(g, kernel.data, stride, xd.shape)
+        accumulate(x, gx[t0:t0 + x.data.shape[0], f0:f0 + x.data.shape[1]])
         if bias is not None:
             accumulate(bias, g.sum(axis=(0, 1)))
 
@@ -131,32 +138,17 @@ def conv2d_transposed(x, kernel, bias=None, stride=(1, 1)) -> Tensor:
     k_t, k_f, c_in, c_out = kernel.data.shape
     if x.data.shape[2] != c_out:
         raise ShapeMismatch(f"input has {x.data.shape[2]} channels, kernel wants {c_out}")
-    s_t, s_f = stride
     t_in, f_in = x.data.shape[:2]
-    t_out = (t_in - 1) * s_t + k_t
-    f_out = (f_in - 1) * s_f + k_f
+    shape = ((t_in - 1) * stride[0] + k_t, (f_in - 1) * stride[1] + k_f, c_in)
 
-    x2 = x.data.reshape(-1, c_out)
-    out = np.zeros((t_out, f_out, c_in))
-    for i in range(k_t):
-        for j in range(k_f):
-            out[i:i + s_t * (t_in - 1) + 1:s_t, j:j + s_f * (f_in - 1) + 1:s_f] += \
-                (x2 @ kernel.data[i, j].T).reshape(t_in, f_in, c_in)
+    out = _correlate_adjoint(x.data, kernel.data, stride, shape)
     if bias is not None:
         bias = as_tensor(bias)
         out = out + bias.data
 
     def bwd(g):
-        gx = np.zeros_like(x.data)
-        gk = np.zeros_like(kernel.data)
-        for i in range(k_t):
-            for j in range(k_f):
-                gslice = g[i:i + s_t * (t_in - 1) + 1:s_t, j:j + s_f * (f_in - 1) + 1:s_f]
-                g2 = gslice.reshape(-1, c_in)
-                gx += (g2 @ kernel.data[i, j]).reshape(x.data.shape)
-                gk[i, j] = g2.T @ x2
-        accumulate(x, gx)
-        accumulate(kernel, gk)
+        accumulate(x, _correlate(g, kernel.data, stride))
+        accumulate(kernel, _kernel_grad(g, x.data, kernel.data.shape, stride))
         if bias is not None:
             accumulate(bias, g.sum(axis=(0, 1)))
 
@@ -166,7 +158,7 @@ def conv2d_transposed(x, kernel, bias=None, stride=(1, 1)) -> Tensor:
 
 def linear(x, weight, bias=None) -> Tensor:
     """x @ W (+ b) for x of shape [D] or [T, D]."""
-    out = x @ weight if isinstance(x, Tensor) else as_tensor(x) @ as_tensor(weight)
+    out = matmul(x, weight)
     if bias is not None:
         out = out + bias
     return out

@@ -1,16 +1,18 @@
 """Deterministic training loops, checkpointing, and loss logging.
 
-A run is fully determined by (seed, config, example order, threads=1):
-initialization and epoch shuffles draw from named streams of the master
-seed, batches accumulate gradients in a fixed order, and the log records
-every loss component per epoch. Checkpoints capture parameters (float32),
-Adam state, and the shuffle RNG so a resumed run continues the same
-trajectory up to storage precision.
+A run is fully determined by (seed, config, example order) when BLAS runs
+one thread (OPENBLAS_NUM_THREADS=1; more threads may change GEMM summation
+order and so the bytes): initialization and epoch shuffles draw from named
+streams of the master seed, batches accumulate gradients in a fixed order,
+and the log records every loss component per epoch. Checkpoints capture
+parameters (float32), Adam state, and the shuffle RNG so a resumed run
+continues the same trajectory up to storage precision.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, field, fields
 from pathlib import Path
@@ -111,17 +113,22 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"{path}: bad metadata: {exc}") from exc
     require_keys(meta, [f.name for f in fields(Checkpoint)], f"{path}: metadata")
     require_keys(meta["adam"], ADAM_STATE, f"{path}: adam")
+    if not isinstance(meta["tensors"], list):
+        raise ParseError(f"{path}: tensors must be a list of entries")
     tensors = {}
     offset = 16 + meta_len
     for entry in meta["tensors"]:
         require_keys(entry, ("name", "shape", "dtype"), f"{path}: tensor entry")
-        count = int(np.prod(entry["shape"])) if entry["shape"] else 1
-        width = 4 if entry["dtype"] == "f4" else 8
+        name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
+        if not (isinstance(name, str) and dtype in ("f4", "f8") and isinstance(shape, list)
+                and all(type(n) is int and n >= 0 for n in shape)):
+            raise ParseError(f"{path}: bad tensor entry {entry}")
+        count = math.prod(shape)
+        width = 4 if dtype == "f4" else 8
         if offset + count * width > len(raw):
-            raise ParseError(f"{path}: truncated tensor {entry['name']}")
-        arr = np.frombuffer(raw, dtype="<" + entry["dtype"], count=count,
-                            offset=offset)
-        tensors[entry["name"]] = arr.reshape(entry["shape"]).copy()
+            raise ParseError(f"{path}: truncated tensor {name}")
+        arr = np.frombuffer(raw, dtype="<" + dtype, count=count, offset=offset)
+        tensors[name] = arr.reshape(shape).copy()
         offset += count * width
     return Checkpoint(**{**meta, "tensors": tensors})
 

@@ -136,7 +136,7 @@ def test_criterion_3_dsp_oracles(tmp_path):
     for _ in range(50):
         x = rng.standard_normal(int(rng.integers(1, 500)))
         h = rng.standard_normal(int(rng.integers(1, 300)))
-        a = dsp.convolve_direct(x, h)
+        a = np.convolve(x, h)
         b = dsp.convolve_fft(x, h)
         if np.abs(a - b).max() > 1e-9 * max(np.abs(a).max(), 1e-30):
             conv_ok = False

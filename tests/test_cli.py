@@ -219,6 +219,18 @@ def test_info_malformed_checkpoint_config_exits_2(tmp_path, capsys):
     assert "hidden" in capsys.readouterr().err
 
 
+def test_info_malformed_checkpoint_tensor_entry_exits_2(tmp_path, capsys):
+    from test_trainer import rewrite_metadata
+    model = models.build_tiny_model("rir", np.random.default_rng(0))
+    opt = nn.Adam([p for _, p in model.params()])
+    ckpt = trainer.checkpoint_from_state(model, opt, 1, np.random.default_rng(0))
+    path = tmp_path / "m.ckpt"
+    trainer.save_checkpoint(ckpt, path)
+    rewrite_metadata(path, lambda meta: meta["tensors"][0].update(dtype="x"))
+    assert run(["info", "--ckpt", str(path)]) == 2
+    assert "bad tensor entry" in capsys.readouterr().err
+
+
 def test_info_requires_source():
     assert run(["info"]) == 64
 

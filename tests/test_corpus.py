@@ -62,6 +62,23 @@ def test_ingest_skips_corrupt_files(tmp_path, caplog):
     assert any("broken" in r.message for r in caplog.records)
 
 
+def test_ingest_skips_partial_sample_file(tmp_path, caplog):
+    rng = np.random.default_rng(2)
+    d = tmp_path / "rirs"
+    d.mkdir()
+    dsp.write_wav(d / "ok.wav", make_rir_clip(rng), format="pcm16")
+    raw = (d / "ok.wav").read_bytes()
+    # one byte past the last whole PCM16 sample, declared in both sizes
+    odd = bytearray(raw + b"\x00")
+    odd[4:8] = (len(odd) - 8).to_bytes(4, "little")
+    odd[40:44] = (len(odd) - 44).to_bytes(4, "little")
+    (d / "odd.wav").write_bytes(bytes(odd))
+    with caplog.at_level("WARNING"):
+        records = corpus.ingest_rirs(d, r"(.*)")
+    assert [r.id for r in records] == ["ok"]
+    assert any("odd.wav" in r.message for r in caplog.records)
+
+
 def test_ingest_empty_dir(tmp_path):
     with pytest.raises(NoFilesFound):
         corpus.ingest_rirs(tmp_path, r"(.*)")
@@ -293,12 +310,15 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_parse_error_carries_line(tmp_path):
     path = tmp_path / "m.jsonl"
-    path.write_text('{"version": 1}\n{"kind": "rir", "id": "a", "path": "p", '
-                    '"group_key": "g", "split": "train", "duration_s": 1.0}\n'
-                    'this is not json\n')
-    with pytest.raises(ParseError) as err:
-        corpus.load_manifest(path)
-    assert err.value.line == 3
+    for bad in ['this is not json',
+                '{"kind": "pair", "dry_path": "d", "rir_id": "a", "seed": 1, "extra": 0}',
+                '{"kind": "pair", "dry_path": "d", "rir_id": "a"}']:
+        path.write_text('{"version": 1}\n{"kind": "rir", "id": "a", "path": "p", '
+                        '"group_key": "g", "split": "train", "duration_s": 1.0}\n'
+                        + bad + '\n')
+        with pytest.raises(ParseError) as err:
+            corpus.load_manifest(path)
+        assert err.value.line == 3
 
 
 def test_manifest_version_mismatch(tmp_path):

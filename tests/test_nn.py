@@ -69,13 +69,21 @@ def test_conv2d_rejects_bad_channels():
         nn.conv2d(ad.Tensor(np.zeros((4, 4, 2))), ad.Tensor(np.zeros((2, 2, 3, 5))))
 
 
-def test_conv2d_gradients_match_fd():
+@pytest.mark.parametrize("x_shape,k_shape,stride,padding", [
+    ((6, 5, 2), (3, 2, 2, 3), (1, 1), "valid"),
+    ((6, 5, 2), (3, 1, 2, 3), (1, 1), "valid"),   # a per-frequency RIR-stack layer
+    ((8, 7, 2), (3, 2, 2, 3), (2, 2), "valid"),   # trailing rows and columns unread
+    ((6, 5, 2), (3, 3, 2, 3), (2, 1), "same"),    # uneven padding in time
+], ids=["valid", "kf1-valid", "strided-valid", "odd-same"])
+def test_conv2d_gradients_match_fd(x_shape, k_shape, stride, padding):
     rng = np.random.default_rng(2)
-    x = ad.Tensor(rng.standard_normal((6, 5, 2)))
-    k = ad.Tensor(rng.standard_normal((3, 2, 2, 3)))
-    b = ad.Tensor(rng.standard_normal(3))
-    target = rng.standard_normal((4, 4, 3))
-    loss_fn = lambda: ad.mse(nn.conv2d(x, k, b), target)
+    x = ad.Tensor(rng.standard_normal(x_shape))
+    k = ad.Tensor(rng.standard_normal(k_shape))
+    b = ad.Tensor(rng.standard_normal(k_shape[3]))
+    with ad.no_grad():
+        out_shape = nn.conv2d(x, k, stride=stride, padding=padding).data.shape
+    target = rng.standard_normal(out_shape)
+    loss_fn = lambda: ad.mse(nn.conv2d(x, k, b, stride=stride, padding=padding), target)
     err = nn.grad_check(loss_fn, [x, k, b])
     assert err < 1e-5
 
@@ -126,14 +134,28 @@ def test_conv2d_transposed_is_adjoint():
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
 
-def test_conv2d_transposed_gradients():
+@pytest.mark.parametrize("with_bias", [True, False], ids=["bias", "no-bias"])
+@pytest.mark.parametrize("stride", [(1, 1), (2, 1), (1, 2), (2, 2)],
+                         ids=lambda s: f"{s[0]}x{s[1]}")
+def test_conv2d_transposed_gradients(stride, with_bias):
     rng = np.random.default_rng(6)
     x = ad.Tensor(rng.standard_normal((4, 3, 3)))
     k = ad.Tensor(rng.standard_normal((3, 2, 2, 3)))
     b = ad.Tensor(rng.standard_normal(2))
-    target = rng.standard_normal((9, 6, 2))
-    loss_fn = lambda: ad.mse(nn.conv2d_transposed(x, k, b, stride=(2, 2)), target)
-    assert nn.grad_check(loss_fn, [x, k, b]) < 1e-5
+    target = rng.standard_normal(((4 - 1) * stride[0] + 3, (3 - 1) * stride[1] + 2, 2))
+    bias = b if with_bias else None
+    loss_fn = lambda: ad.mse(nn.conv2d_transposed(x, k, bias, stride=stride), target)
+    params = [x, k, b] if with_bias else [x, k]
+    assert nn.grad_check(loss_fn, params) < 1e-5
+
+
+def test_conv2d_transposed_is_exactly_the_conv2d_input_gradient():
+    rng = np.random.default_rng(7)
+    x = ad.Tensor(rng.standard_normal((9, 7, 2)))
+    k = ad.Tensor(rng.standard_normal((3, 2, 2, 4)))
+    y = rng.standard_normal((4, 6, 4))
+    ad.backward(ad.tsum(ad.mul(nn.conv2d(x, k, stride=(2, 1)), y)))
+    np.testing.assert_array_equal(nn.conv2d_transposed(y, k, stride=(2, 1)).data, x.grad)
 
 
 # --- GRU -----------------------------------------------------------------

@@ -197,8 +197,12 @@ def rewrite_metadata(path, edit):
     lambda meta: meta.pop("adam"),
     lambda meta: meta["adam"].pop("lr"),
     lambda meta: meta["tensors"][0].pop("shape"),
+    lambda meta: meta.update(tensors=3),
+    lambda meta: meta["tensors"][0].update(dtype="x"),
+    lambda meta: meta["tensors"][0].update(shape=["a"]),
 ], ids=["missing-key", "extra-key", "bad-type", "bad-layer", "unknown-kind",
-        "no-adam", "adam-key", "tensor-key"])
+        "no-adam", "adam-key", "tensor-key", "tensors-not-list", "tensor-dtype",
+        "tensor-shape"])
 def test_malformed_checkpoint_metadata_is_a_parse_error(tmp_path, tiny_models, edit):
     path = tmp_path / "m.ckpt"
     trainer.train(tiny_config(epochs=1), tiny_examples(1), checkpoint_path=path)
