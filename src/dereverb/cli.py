@@ -4,7 +4,7 @@ Exit codes: 0 ok, 1 I/O failure, 2 data problem, 3 numeric failure,
 64 usage. All randomness fans out from --seed through named streams, so any
 subcommand is bit-reproducible when BLAS runs one thread
 (OPENBLAS_NUM_THREADS=1); with more, GEMM summation order and so training
-bytes may change. --threads sets only synth's worker count.
+bytes may change. Only synth takes --threads, its worker count.
 """
 
 from __future__ import annotations
@@ -44,9 +44,6 @@ class _Parser(argparse.ArgumentParser):
 
 def _add_common(p):
     p.add_argument("--seed", type=int, default=0, help="master random seed")
-    p.add_argument("--threads", type=int,
-                   default=int(os.environ.get("DEREVERB_THREADS", "1")),
-                   help="worker threads for synth")
 
 
 def _print_config(args):
@@ -83,6 +80,10 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default="train",
                    choices=["train", "val", "test"])
     p.add_argument("--out-dir", required=True)
+    # a string default: argparse converts it only when synth runs
+    p.add_argument("--threads", type=int,
+                   default=os.environ.get("DEREVERB_THREADS", "1"),
+                   help="worker threads")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 

@@ -10,9 +10,11 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import os
 import re
 import struct
 from collections import Counter, defaultdict
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
@@ -301,6 +303,25 @@ def pair_cache_name(pair: PairRecord) -> str:
 
 
 # ---------------------------------------------------------------------------
+# Atomic writes, used by every persisted format
+# ---------------------------------------------------------------------------
+
+@contextmanager
+def replacing(path):
+    """Binary handle on a temporary file beside `path` that replaces `path`
+    only when the block completes, so a write that fails midway leaves the
+    previous file intact and no temporary file behind."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+# ---------------------------------------------------------------------------
 # Example cache files
 # ---------------------------------------------------------------------------
 
@@ -312,12 +333,13 @@ def save_example(example: TrainingExample, path) -> None:
         *example.dry_target_logmag.shape,
         *example.rir_target_mag.shape,
         *example.reverb_target_mag.shape)
-    body = (example.dry_target_logmag.astype("<f4").tobytes()
-            + example.rir_target_mag.astype("<f4").tobytes()
-            + example.reverb_target_mag.astype("<f4").tobytes()
-            + struct.pack("<3f", example.dry_scale, example.rir_scale,
-                          example.reverb_scale))
-    Path(path).write_bytes(header + body)
+    with replacing(path) as fh:
+        fh.write(header)
+        for arr in (example.dry_target_logmag, example.rir_target_mag,
+                    example.reverb_target_mag):
+            fh.write(arr.astype("<f4").tobytes())
+        fh.write(struct.pack("<3f", example.dry_scale, example.rir_scale,
+                             example.reverb_scale))
 
 
 def load_example(path) -> TrainingExample:
@@ -363,11 +385,12 @@ RECORD_KINDS = {"rir": (RirRecord, "rirs"), "pair": (PairRecord, "pairs")}
 
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
-    lines = [json.dumps({"version": manifest.version}, sort_keys=True)]
-    for kind, (_, attr) in RECORD_KINDS.items():
-        lines += [json.dumps({"kind": kind, **asdict(r)}, sort_keys=True)
-                  for r in getattr(manifest, attr)]
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with replacing(path) as fh:
+        fh.write(json.dumps({"version": manifest.version}, sort_keys=True).encode() + b"\n")
+        for kind, (_, attr) in RECORD_KINDS.items():
+            for r in getattr(manifest, attr):
+                line = json.dumps({"kind": kind, **asdict(r)}, sort_keys=True)
+                fh.write(line.encode() + b"\n")
 
 
 def load_manifest(path) -> CorpusManifest:

@@ -34,11 +34,19 @@ def _same_padding(size, k, s):
     return max((out - 1) * s + k - size, 0)
 
 
-# The three tap loops below are the whole convolution core: conv2d and
-# conv2d_transposed are each other's adjoint and share them. Each kernel tap
-# (i, j) is one GEMM over a strided window of the [T,F,C] operand; for a
-# k_f == 1, stride-1 stack that window is a contiguous block of rows, so the
-# GEMM reads it in place.
+# The three functions below are the whole convolution core: conv2d and
+# conv2d_transposed are each other's adjoint and share them. _correlate and
+# _kernel_grad work on columns (im2col): each output position's receptive
+# field, flattened in kernel order (kT, kF, Cin), is one row of a column
+# matrix, so a block of output rows is one GEMM with kernel.reshape(-1, Cout).
+# The column matrix is built one block at a time, at most _COLUMN_BYTES each
+# (one output row when a row alone is larger), so memory stays flat: whole,
+# it would take 118 MB on a desk joint layer. _correlate_adjoint keeps one
+# GEMM per tap (i, j) over a strided window: its column form has to
+# overlap-add every tap back into the input, and that measured slower.
+
+_COLUMN_BYTES = 256 * 1024
+
 
 def _window(i, j, stride, out_shape):
     """Rows and columns of the input that tap (i, j) reads for out_shape."""
@@ -47,15 +55,27 @@ def _window(i, j, stride, out_shape):
             slice(j, j + s_f * (f_out - 1) + 1, s_f))
 
 
+def _column_blocks(x, k_t, k_f, stride):
+    """Yield (output row slice, column block) pairs covering every output row.
+
+    A column block is [rows * F', kT * kF * Cin]: entry (t, f) of the block's
+    rows holds x[t*sT + i, f*sF + j, c] at column (i, j, c).
+    """
+    views = np.lib.stride_tricks.sliding_window_view(x, (k_t, k_f), axis=(0, 1))
+    views = views[::stride[0], ::stride[1]].transpose(0, 1, 3, 4, 2)
+    rows = max(1, _COLUMN_BYTES // (views[0].size * views.itemsize))
+    for r0 in range(0, len(views), rows):
+        yield slice(r0, r0 + rows), views[r0:r0 + rows].reshape(-1, views[0, 0].size)
+
+
 def _correlate(x, kernel, stride):
     """Valid strided cross-correlation: [T,F,Cin] with [kT,kF,Cin,Cout] -> [T',F',Cout]."""
     k_t, k_f, c_in, c_out = kernel.shape
     shape = ((x.shape[0] - k_t) // stride[0] + 1, (x.shape[1] - k_f) // stride[1] + 1, c_out)
-    out = np.zeros(shape)
-    for i in range(k_t):
-        for j in range(k_f):
-            piece = x[_window(i, j, stride, shape)]
-            out += (piece.reshape(-1, c_in) @ kernel[i, j]).reshape(shape)
+    out = np.empty(shape)
+    k2 = kernel.reshape(-1, c_out)
+    for rows, cols in _column_blocks(x, k_t, k_f, stride):
+        out[rows] = (cols @ k2).reshape(-1, *shape[1:])
     return out
 
 
@@ -74,12 +94,10 @@ def _correlate_adjoint(g, kernel, stride, shape):
 def _kernel_grad(x, g, kernel_shape, stride):
     """Gradient of <_correlate(x, k), g> in k."""
     k_t, k_f, c_in, c_out = kernel_shape
-    g2 = g.reshape(-1, c_out)
-    gk = np.zeros(kernel_shape)
-    for i in range(k_t):
-        for j in range(k_f):
-            gk[i, j] = x[_window(i, j, stride, g.shape)].reshape(-1, c_in).T @ g2
-    return gk
+    gk = np.zeros((k_t * k_f * c_in, c_out))
+    for rows, cols in _column_blocks(x, k_t, k_f, stride):
+        gk += cols.T @ g[rows].reshape(-1, c_out)
+    return gk.reshape(kernel_shape)
 
 
 def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid") -> Tensor:

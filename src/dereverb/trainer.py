@@ -78,22 +78,19 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary layout: magic, version, u64 JSON length, JSON metadata, then
     the raw little-endian tensor data in metadata order."""
-    entries = []
-    blobs = []
-    for name in sorted(ckpt.tensors):
-        arr = ckpt.tensors[name]
-        dtype = "f4" if name.startswith("p.") else "f8"
-        entries.append({"name": name, "shape": list(arr.shape), "dtype": dtype})
-        blobs.append(np.ascontiguousarray(arr, dtype="<" + dtype).tobytes())
+    entries = [{"name": name, "shape": list(ckpt.tensors[name].shape),
+                "dtype": "f4" if name.startswith("p.") else "f8"}
+               for name in sorted(ckpt.tensors)]
     meta = json.dumps({
         "kind": ckpt.kind, "config": ckpt.config, "epoch": ckpt.epoch,
         "adam": ckpt.adam, "rng_state": ckpt.rng_state, "tensors": entries,
     }, sort_keys=True).encode()
-    with open(path, "wb") as fh:
+    with corpus.replacing(path) as fh:
         fh.write(struct.pack("<4sIQ", CKPT_MAGIC, CKPT_VERSION, len(meta)))
         fh.write(meta)
-        for blob in blobs:
-            fh.write(blob)
+        for e in entries:
+            arr = np.ascontiguousarray(ckpt.tensors[e["name"]], dtype="<" + e["dtype"])
+            fh.write(arr.tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -105,6 +102,9 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"{path}: bad magic {magic!r}")
     if version != CKPT_VERSION:
         raise VersionMismatch(f"{path}: checkpoint version {version}")
+    if raw[16:17] not in (b"", b"{"):   # an example cache file shares magic and version
+        raise ParseError(f"{path}: not a checkpoint (no JSON metadata after the header; "
+                         "an example cache file?)")
     if len(raw) < 16 + meta_len:
         raise ParseError(f"{path}: truncated metadata")
     try:

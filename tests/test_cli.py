@@ -46,6 +46,22 @@ def test_help_exits_zero(capsys):
     assert "default" in out
 
 
+@pytest.mark.parametrize("command", ["prepare", "synth", "train", "gradcheck", "eval", "info"])
+def test_only_synth_takes_threads(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert ("--threads" in capsys.readouterr().out) == (command == "synth")
+
+
+def test_bad_threads_environment_only_stops_synth(monkeypatch, tmp_path):
+    monkeypatch.setenv("DEREVERB_THREADS", "abc")
+    assert run(["info", "--model", "rir"]) == 0
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["synth", "--manifest", "m", "--dry-dir", "d", "--out-dir", str(tmp_path)])
+    assert exc.value.code == 64
+
+
 def test_unknown_flag_exits_64():
     with pytest.raises(SystemExit) as exc:
         cli.main(["prepare", "--rir-dir", "x", "--bogus-flag", "1"])
@@ -106,6 +122,20 @@ def test_synth_rerun_is_byte_identical(pipeline_corpus, tmp_path):
     assert run(args) == 0
     again = {p.name: p.read_bytes() for p in out_dir.iterdir()}
     assert snapshot == again
+
+
+def test_synth_threads_do_not_change_cache_bytes(pipeline_corpus, tmp_path):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    written = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                    str(pipeline_corpus["dry"]), "--out-dir", str(out),
+                    "--threads", threads]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+    assert len(written[0]) == 9   # 4 dry clips x 2 RIRs, and the manifest
+    assert written[0] == written[1]
 
 
 def test_synth_empty_split_exits_2(pipeline_corpus, tmp_path):
@@ -229,6 +259,13 @@ def test_info_malformed_checkpoint_tensor_entry_exits_2(tmp_path, capsys):
     rewrite_metadata(path, lambda meta: meta["tensors"][0].update(dtype="x"))
     assert run(["info", "--ckpt", str(path)]) == 2
     assert "bad tensor entry" in capsys.readouterr().err
+
+
+def test_info_cache_file_is_not_a_checkpoint(tmp_path, capsys):
+    example = cli._tiny_loss_example(np.random.default_rng(0), (8, 5), 4)
+    corpus.save_example(example, tmp_path / "ex.drvb")
+    assert run(["info", "--ckpt", str(tmp_path / "ex.drvb")]) == 2
+    assert "not a checkpoint" in capsys.readouterr().err
 
 
 def test_info_requires_source():

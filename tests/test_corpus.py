@@ -1,7 +1,11 @@
+import builtins
+import errno
+import io
+
 import numpy as np
 import pytest
 
-from dereverb import corpus, dsp
+from dereverb import corpus, dsp, trainer
 from dereverb.errors import (
     EmptySplit,
     InsufficientData,
@@ -326,3 +330,66 @@ def test_manifest_version_mismatch(tmp_path):
     path.write_text('{"version": 99}\n')
     with pytest.raises(VersionMismatch):
         corpus.load_manifest(path)
+
+
+# --- atomic writes -------------------------------------------------------
+
+class DiskFull:
+    """A file opened for writing that stores half of its first write and then
+    fails as a full disk would."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, data):
+        self._fh.write(data[:len(data) // 2])
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+    def __getattr__(self, name):
+        return getattr(self._fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self._fh.close()
+
+
+def write_manifest(path, variant):
+    manifest = small_manifest()
+    manifest.pairs = [corpus.PairRecord("d.wav", manifest.rirs[0].id, variant)]
+    corpus.save_manifest(manifest, path)
+
+
+def write_example(path, variant):
+    ones = np.full((3, 2), float(variant))
+    corpus.save_example(corpus.TrainingExample(
+        input_logmag=ones, dry_target_logmag=ones, rir_target_mag=ones,
+        reverb_target_mag=ones, dry_scale=1.0, rir_scale=1.0, reverb_scale=1.0), path)
+
+
+def write_checkpoint(path, variant):
+    trainer.save_checkpoint(trainer.Checkpoint(
+        kind="rir", config={}, epoch=variant, adam={}, rng_state={},
+        tensors={"p.w": np.full(3, float(variant))}), path)
+
+
+@pytest.mark.parametrize("write", [write_manifest, write_example, write_checkpoint],
+                         ids=["manifest", "example", "checkpoint"])
+def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, write):
+    path = tmp_path / "out"
+    write(path, 1)
+    before = path.read_bytes()
+    real_open = builtins.open
+
+    def full_disk_open(file, mode="r", *args, **kwargs):
+        fh = real_open(file, mode, *args, **kwargs)
+        return DiskFull(fh) if "w" in mode else fh
+
+    monkeypatch.setattr(builtins, "open", full_disk_open)
+    monkeypatch.setattr(io, "open", full_disk_open)   # what pathlib's writers call
+    with pytest.raises(OSError):
+        write(path, 2)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["out"]

@@ -158,6 +158,101 @@ def test_conv2d_transposed_is_exactly_the_conv2d_input_gradient():
     np.testing.assert_array_equal(nn.conv2d_transposed(y, k, stride=(2, 1)).data, x.grad)
 
 
+# --- the column form against the tap loops it replaced ---------------------
+
+def tap_window(i, j, stride, out_shape):
+    (s_t, s_f), (t_out, f_out) = stride, out_shape[:2]
+    return (slice(i, i + s_t * (t_out - 1) + 1, s_t),
+            slice(j, j + s_f * (f_out - 1) + 1, s_f))
+
+
+def correlate_by_taps(x, kernel, stride):
+    """The former nn._correlate: one GEMM per kernel tap."""
+    k_t, k_f, c_in, c_out = kernel.shape
+    shape = ((x.shape[0] - k_t) // stride[0] + 1, (x.shape[1] - k_f) // stride[1] + 1, c_out)
+    out = np.zeros(shape)
+    for i in range(k_t):
+        for j in range(k_f):
+            piece = x[tap_window(i, j, stride, shape)]
+            out += (piece.reshape(-1, c_in) @ kernel[i, j]).reshape(shape)
+    return out
+
+
+def kernel_grad_by_taps(x, g, kernel_shape, stride):
+    """The former nn._kernel_grad: one GEMM per kernel tap."""
+    k_t, k_f, c_in, c_out = kernel_shape
+    g2 = g.reshape(-1, c_out)
+    gk = np.zeros(kernel_shape)
+    for i in range(k_t):
+        for j in range(k_f):
+            gk[i, j] = x[tap_window(i, j, stride, g.shape)].reshape(-1, c_in).T @ g2
+    return gk
+
+
+def assert_close(got, want):
+    assert got.shape == want.shape
+    assert np.abs(got - want).max() <= 1e-12 * max(np.abs(want).max(), 1e-300)
+
+
+# (input [T,F,Cin], kernel [kT,kF,Cin,Cout], stride, padding); nn._correlate_adjoint
+# kept its tap loop, so the input gradient of conv2d and the forward of
+# conv2d_transposed use it as their reference.
+COLUMN_CASES = {
+    "cin1-kf1": ((24, 7, 1), (9, 1, 1, 4), (1, 1), "valid"),     # joint trunk0
+    "cin1-same": ((19, 13, 1), (4, 4, 1, 3), (2, 2), "same"),    # U-net enc0
+    "kt27-kf1": ((40, 6, 3), (27, 1, 3, 2), (1, 1), "valid"),
+    "kt27-one-row": ((27, 6, 3), (27, 1, 3, 2), (1, 1), "valid"),
+    "kt187-one-row": ((187, 5, 2), (187, 1, 2, 3), (1, 1), "valid"),
+    "unet-same": ((21, 17, 3), (4, 4, 3, 5), (2, 2), "same"),
+    "odd-strides": ((23, 16, 2), (3, 2, 2, 3), (2, 3), "valid"),
+}
+
+
+@pytest.mark.parametrize("rows", [None, 1, 3], ids=["budget", "rows1", "rows3"])
+@pytest.mark.parametrize("case", COLUMN_CASES.values(), ids=COLUMN_CASES.keys())
+def test_column_core_matches_tap_loops(case, rows, monkeypatch):
+    x_shape, k_shape, stride, padding = case
+    k_t, k_f, c_in, c_out = k_shape
+    rng = np.random.default_rng(11)
+    x = rng.standard_normal(x_shape)
+    k = rng.standard_normal(k_shape)
+    b = rng.standard_normal(c_out)
+    if padding == "same":
+        pads = [nn._same_padding(n, kn, s) for n, kn, s in zip(x_shape, (k_t, k_f), stride)]
+        xd = np.pad(x, [(p // 2, p - p // 2) for p in pads] + [(0, 0)])
+    else:
+        pads, xd = [0, 0], x
+    out_shape = correlate_by_taps(xd, k, stride).shape
+    if rows is not None:   # a budget of exactly `rows` output rows per column block
+        monkeypatch.setattr(nn, "_COLUMN_BYTES", rows * out_shape[1] * k[..., 0].size * 8)
+    g = rng.standard_normal(out_shape)
+
+    assert_close(nn._correlate(xd, k, stride), correlate_by_taps(xd, k, stride))
+    assert_close(nn._kernel_grad(xd, g, k_shape, stride), kernel_grad_by_taps(xd, g, k_shape, stride))
+
+    xt, kt, bt = ad.Tensor(x), ad.Tensor(k), ad.Tensor(b)
+    out = nn.conv2d(xt, kt, bt, stride=stride, padding=padding)
+    ad.backward(ad.tsum(ad.mul(out, g)))
+    assert_close(out.data, correlate_by_taps(xd, k, stride) + b)
+    assert_close(kt.grad, kernel_grad_by_taps(xd, g, k_shape, stride))
+    gx = nn._correlate_adjoint(g, k, stride, xd.shape)
+    assert_close(xt.grad, gx[pads[0] // 2:pads[0] // 2 + x_shape[0],
+                             pads[1] // 2:pads[1] // 2 + x_shape[1]])
+    assert_close(bt.grad, g.sum(axis=(0, 1)))
+
+    # conv2d_transposed takes an input of g's shape
+    gt, kt, bt = ad.Tensor(g), ad.Tensor(k), ad.Tensor(rng.standard_normal(c_in))
+    up = nn.conv2d_transposed(gt, kt, bt, stride=stride)
+    t_up = (out_shape[0] - 1) * stride[0] + k_t
+    f_up = (out_shape[1] - 1) * stride[1] + k_f
+    y = rng.standard_normal((t_up, f_up, c_in))
+    ad.backward(ad.tsum(ad.mul(up, y)))
+    assert_close(up.data, nn._correlate_adjoint(g, k, stride, y.shape) + bt.data)
+    assert_close(gt.grad, correlate_by_taps(y, k, stride))
+    assert_close(kt.grad, kernel_grad_by_taps(y, g, k_shape, stride))
+    assert_close(bt.grad, y.sum(axis=(0, 1)))
+
+
 # --- GRU -----------------------------------------------------------------
 
 def test_gru_cell_zero_params():
