@@ -287,29 +287,6 @@ def concat(tensors, axis=0) -> Tensor:
                  tuple(tensors), bwd)
 
 
-def stack_rows(tensors) -> Tensor:
-    """Stack equal-shape vectors into a [T x D] matrix."""
-    tensors = [as_tensor(t) for t in tensors]
-
-    def bwd(g):
-        for i, t in enumerate(tensors):
-            accumulate(t, g[i])
-
-    return _node(np.stack([t.data for t in tensors]), tuple(tensors), bwd)
-
-
-def row(a, index) -> Tensor:
-    """Extract row `index` of a matrix."""
-    a = as_tensor(a)
-
-    def bwd(g):
-        if a.grad is None:
-            a.grad = np.zeros_like(a.data)
-        a.grad[index] += g
-
-    return _node(a.data[index], (a,), bwd)
-
-
 def pad_tail(a, pad_t, pad_f) -> Tensor:
     """Zero-pad the trailing edge of the first two axes of [T,F,...]."""
     a = as_tensor(a)

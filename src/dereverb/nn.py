@@ -12,20 +12,7 @@ import math
 
 import numpy as np
 
-from .autodiff import (
-    Tensor,
-    accumulate,
-    as_tensor,
-    backward,
-    concat,
-    matmul,
-    no_grad,
-    row,
-    sigmoid,
-    stack_rows,
-    tanh,
-    _node,
-)
+from .autodiff import Tensor, accumulate, as_tensor, backward, matmul, no_grad, _node
 from .errors import ShapeMismatch
 
 
@@ -219,13 +206,72 @@ class GruParams:
         return [getattr(self, f) for f in self.FIELDS]
 
 
+def _sigmoid(a):
+    return 1.0 / (1.0 + np.exp(-a))
+
+
+def _gru_scan(x, h0, p: GruParams, reverse):
+    """Run one GRU direction over x [T, Din] from state h0 [Dh].
+
+    Returns the states [T, Dh] (row t is the state after frame t) and the
+    tape :func:`_gru_scan_backward` needs. The input projections of all
+    frames are one GEMM; each step adds only h Uz|Ur and (r*h) Uh.
+    """
+    steps, n = len(x), p.d_hidden
+    w = np.concatenate([p.wz.data, p.wr.data, p.wh.data], axis=1)
+    u_zr = np.concatenate([p.uz.data, p.ur.data], axis=1)
+    a = x @ w + np.concatenate([p.bz.data, p.br.data, p.bh.data])
+    z, r, c, h_prev, out = (np.empty((steps, n)) for _ in range(5))
+    h = h0
+    for t in (reversed(range(steps)) if reverse else range(steps)):
+        h_prev[t] = h
+        zr = _sigmoid(a[t, :2 * n] + h @ u_zr)
+        z[t], r[t] = zr[:n], zr[n:]
+        c[t] = np.tanh(a[t, 2 * n:] + (r[t] * h) @ p.uh.data)
+        h = out[t] = (1.0 - z[t]) * h + z[t] * c[t]
+    return out, (x, w, u_zr, z, r, c, h_prev)
+
+
+def _gru_scan_backward(g, p: GruParams, tape, reverse):
+    """Backward of :func:`_gru_scan` for output gradient g [T, Dh].
+
+    Walks the steps in the opposite order into the pre-activation gradient
+    [T, 3Dh], then forms the weight gradients as whole-sequence GEMMs and
+    accumulates them into `p`. Returns the input gradient [T, Din] and the
+    gradient of the initial state h0.
+    """
+    x, w, u_zr, z, r, c, h_prev = tape
+    n = p.d_hidden
+    k_z = (c - h_prev) * z * (1.0 - z)   # d h'/d a_z
+    k_r = h_prev * r * (1.0 - r)         # d (r*h)/d a_r
+    k_c = z * (1.0 - c * c)              # d h'/d a_c
+    da = np.empty((len(x), 3 * n))
+    dh = np.zeros(n)
+    for t in (range(len(x)) if reverse else reversed(range(len(x)))):
+        gt = g[t] + dh
+        da[t, 2 * n:] = gt * k_c[t]
+        grh = da[t, 2 * n:] @ p.uh.data.T
+        da[t, :n] = gt * k_z[t]
+        da[t, n:2 * n] = grh * k_r[t]
+        dh = gt * (1.0 - z[t]) + grh * r[t] + da[t, :2 * n] @ u_zr.T
+    dw, db = np.split(x.T @ da, 3, axis=1), np.split(da.sum(axis=0), 3)
+    du = [*np.split(h_prev.T @ da[:, :2 * n], 2, axis=1), (r * h_prev).T @ da[:, 2 * n:]]
+    for i, gate in enumerate("zrh"):
+        accumulate(getattr(p, "w" + gate), dw[i])
+        accumulate(getattr(p, "u" + gate), du[i])
+        accumulate(getattr(p, "b" + gate), db[i])
+    return da @ w.T, dh
+
+
 def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
-    """One GRU step with a fused hand-written backward rule.
+    """One GRU step: the one-frame case of the scan behind :func:`bigru_layer`.
 
         z = sigmoid(x Wz + h Uz + bz)
         r = sigmoid(x Wr + h Ur + br)
         c = tanh(x Wh + (r*h) Uh + bh)
         h' = (1 - z) * h + z * c
+
+    Gradients flow to x_t, h_prev and every parameter.
     """
     x_t, h_prev = as_tensor(x_t), as_tensor(h_prev)
     p = params
@@ -233,66 +279,42 @@ def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
         raise ShapeMismatch(
             f"gru_cell got x {x_t.data.shape}, h {h_prev.data.shape}, "
             f"wants ({p.d_in},), ({p.d_hidden},)")
-    x, h = x_t.data, h_prev.data
-    z = _sigmoid(x @ p.wz.data + h @ p.uz.data + p.bz.data)
-    r = _sigmoid(x @ p.wr.data + h @ p.ur.data + p.br.data)
-    rh = r * h
-    c = np.tanh(x @ p.wh.data + rh @ p.uh.data + p.bh.data)
-    out = (1.0 - z) * h + z * c
+    out, tape = _gru_scan(x_t.data[None], h_prev.data, p, reverse=False)
 
     def bwd(g):
-        gz = g * (c - h)
-        gc = g * z
-        gh = g * (1.0 - z)
-        gac = gc * (1.0 - c * c)
-        grh = gac @ p.uh.data.T
-        gr = grh * h
-        gh = gh + grh * r
-        gar = gr * r * (1.0 - r)
-        gaz = gz * z * (1.0 - z)
-        accumulate(p.bz, gaz)
-        accumulate(p.br, gar)
-        accumulate(p.bh, gac)
-        accumulate(p.wz, np.outer(x, gaz))
-        accumulate(p.wr, np.outer(x, gar))
-        accumulate(p.wh, np.outer(x, gac))
-        accumulate(p.uz, np.outer(h, gaz))
-        accumulate(p.ur, np.outer(h, gar))
-        accumulate(p.uh, np.outer(rh, gac))
-        accumulate(x_t, gaz @ p.wz.data.T + gar @ p.wr.data.T + gac @ p.wh.data.T)
-        accumulate(h_prev, gh + gaz @ p.uz.data.T + gar @ p.ur.data.T)
+        gx, gh = _gru_scan_backward(g[None], p, tape, reverse=False)
+        accumulate(x_t, gx[0])
+        accumulate(h_prev, gh)
 
-    return _node(out, (x_t, h_prev, *p.tensors()), bwd)
-
-
-def _sigmoid(a):
-    return 1.0 / (1.0 + np.exp(-a))
+    return _node(out[0], (x_t, h_prev, *p.tensors()), bwd)
 
 
 def bigru_layer(seq, fwd_params: GruParams, bwd_params: GruParams) -> Tensor:
-    """Bidirectional GRU over [T, Din] -> [T, 2*Dh].
+    """Bidirectional GRU over [T, Din] -> [T, Dh_fwd + Dh_bwd], one graph node.
 
-    The forward pass runs left to right, the backward pass right to left;
-    their hidden states are concatenated per step.
+    Each direction is one :func:`_gru_scan` from a zero state, the forward
+    one left to right and the backward one right to left; row t holds both
+    directions' states after frame t, forward first. T must be at least 1
+    and both directions must take Din features.
     """
     seq = as_tensor(seq)
-    steps = seq.data.shape[0]
-    xs = [row(seq, t) for t in range(steps)]
+    if fwd_params.d_in != bwd_params.d_in:
+        raise ShapeMismatch(f"bigru directions take {fwd_params.d_in} and "
+                            f"{bwd_params.d_in} input features")
+    x = seq.data
+    if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != fwd_params.d_in:
+        raise ShapeMismatch(f"bigru_layer got {x.shape}, wants [T >= 1, {fwd_params.d_in}]")
+    fwd_out, fwd_tape = _gru_scan(x, np.zeros(fwd_params.d_hidden), fwd_params, reverse=False)
+    bwd_out, bwd_tape = _gru_scan(x, np.zeros(bwd_params.d_hidden), bwd_params, reverse=True)
 
-    h = Tensor(np.zeros(fwd_params.d_hidden))
-    forward_states = []
-    for t in range(steps):
-        h = gru_cell(xs[t], h, fwd_params)
-        forward_states.append(h)
+    def bwd(g):
+        n = fwd_params.d_hidden
+        gx_fwd, _ = _gru_scan_backward(g[:, :n], fwd_params, fwd_tape, reverse=False)
+        gx_bwd, _ = _gru_scan_backward(g[:, n:], bwd_params, bwd_tape, reverse=True)
+        accumulate(seq, gx_fwd + gx_bwd)
 
-    h = Tensor(np.zeros(bwd_params.d_hidden))
-    backward_states = [None] * steps
-    for t in reversed(range(steps)):
-        h = gru_cell(xs[t], h, bwd_params)
-        backward_states[t] = h
-
-    return stack_rows([concat([forward_states[t], backward_states[t]])
-                       for t in range(steps)])
+    parents = (seq, *fwd_params.tensors(), *bwd_params.tensors())
+    return _node(np.concatenate([fwd_out, bwd_out], axis=1), parents, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -123,27 +123,13 @@ def test_broadcast_add_reduces_grad():
     np.testing.assert_array_equal(b.grad, [4.0, 4.0, 4.0])
 
 
-def test_concat_and_stack_grads():
+def test_concat_grads():
     a = ad.Tensor(np.ones(2))
     b = ad.Tensor(np.ones(3))
     out = ad.concat([a, b])
     ad.tsum(ad.mul(out, np.arange(5.0))).backward()
     np.testing.assert_array_equal(a.grad, [0.0, 1.0])
     np.testing.assert_array_equal(b.grad, [2.0, 3.0, 4.0])
-
-    rows = [ad.Tensor(np.full(3, float(i))) for i in range(4)]
-    stacked = ad.stack_rows(rows)
-    assert stacked.data.shape == (4, 3)
-    ad.tsum(ad.mul(stacked, np.arange(12.0).reshape(4, 3))).backward()
-    np.testing.assert_array_equal(rows[2].grad, [6.0, 7.0, 8.0])
-
-
-def test_row_extraction_grad():
-    m = ad.Tensor(np.arange(6.0).reshape(3, 2))
-    r = ad.row(m, 1)
-    np.testing.assert_array_equal(r.data, [2.0, 3.0])
-    ad.tsum(r).backward()
-    np.testing.assert_array_equal(m.grad, [[0, 0], [1, 1], [0, 0]])
 
 
 def test_reshape_transpose_grads():

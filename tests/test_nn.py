@@ -332,6 +332,135 @@ def test_bigru_gradients_match_fd():
     assert nn.grad_check(loss_fn, [seq, *fwd.tensors(), *bwd.tensors()]) < 1e-5
 
 
+@pytest.mark.parametrize("shape, d_bwd", [((0, 4), 4), ((4,), 4), ((3, 4, 1), 4),
+                                          ((3, 5), 4), ((3, 4), 5)],
+                         ids=["empty", "1-d", "3-d", "width", "directions-disagree"])
+def test_bigru_layer_rejects_bad_input(shape, d_bwd):
+    fwd, bwd = nn.GruParams(4, 3), nn.GruParams(d_bwd, 3)
+    with pytest.raises(ShapeMismatch):
+        nn.bigru_layer(np.zeros(shape), fwd, bwd)
+
+
+# --- the fused scan against the per-frame graph it replaced ----------------
+
+def gru_cell_by_step(x_t, h_prev, p):
+    """The former nn.gru_cell: one tape node per step, outer-product weight gradients."""
+    x_t, h_prev = ad.as_tensor(x_t), ad.as_tensor(h_prev)
+    x, h = x_t.data, h_prev.data
+    z = 1.0 / (1.0 + np.exp(-(x @ p.wz.data + h @ p.uz.data + p.bz.data)))
+    r = 1.0 / (1.0 + np.exp(-(x @ p.wr.data + h @ p.ur.data + p.br.data)))
+    rh = r * h
+    c = np.tanh(x @ p.wh.data + rh @ p.uh.data + p.bh.data)
+    out = (1.0 - z) * h + z * c
+
+    def bwd(g):
+        gz = g * (c - h)
+        gc = g * z
+        gh = g * (1.0 - z)
+        gac = gc * (1.0 - c * c)
+        grh = gac @ p.uh.data.T
+        gr = grh * h
+        gh = gh + grh * r
+        gar = gr * r * (1.0 - r)
+        gaz = gz * z * (1.0 - z)
+        ad.accumulate(p.bz, gaz)
+        ad.accumulate(p.br, gar)
+        ad.accumulate(p.bh, gac)
+        ad.accumulate(p.wz, np.outer(x, gaz))
+        ad.accumulate(p.wr, np.outer(x, gar))
+        ad.accumulate(p.wh, np.outer(x, gac))
+        ad.accumulate(p.uz, np.outer(h, gaz))
+        ad.accumulate(p.ur, np.outer(h, gar))
+        ad.accumulate(p.uh, np.outer(rh, gac))
+        ad.accumulate(x_t, gaz @ p.wz.data.T + gar @ p.wr.data.T + gac @ p.wh.data.T)
+        ad.accumulate(h_prev, gh + gaz @ p.uz.data.T + gar @ p.ur.data.T)
+
+    return ad._node(out, (x_t, h_prev, *p.tensors()), bwd)
+
+
+def bigru_by_frames(seq, fwd_params, bwd_params):
+    """The former nn.bigru_layer: one gru_cell node per frame and direction.
+
+    Frames are cut out with slice2d + reshape and the rows joined with
+    reshape + concat, which move data exactly as the former row/stack_rows.
+    """
+    seq = ad.as_tensor(seq)
+    steps, d_in = seq.data.shape
+    xs = [ad.reshape(ad.slice2d(seq, t, t + 1, 0, d_in), (d_in,)) for t in range(steps)]
+
+    h = ad.Tensor(np.zeros(fwd_params.d_hidden))
+    forward_states = []
+    for t in range(steps):
+        h = gru_cell_by_step(xs[t], h, fwd_params)
+        forward_states.append(h)
+
+    h = ad.Tensor(np.zeros(bwd_params.d_hidden))
+    backward_states = [None] * steps
+    for t in reversed(range(steps)):
+        h = gru_cell_by_step(xs[t], h, bwd_params)
+        backward_states[t] = h
+
+    return ad.concat([ad.reshape(ad.concat([forward_states[t], backward_states[t]]), (1, -1))
+                      for t in range(steps)])
+
+
+def value_and_grads(fn, leaves, g):
+    """fn()'s output and the gradients of <fn(), g> in each of `leaves`."""
+    for t in leaves:
+        t.grad = None
+    out = fn()
+    ad.backward(ad.tsum(ad.mul(out, g)))
+    return [out.data] + [t.grad.copy() for t in leaves]
+
+
+def randomize_biases(params, rng):
+    for p in params:
+        for f in ("bz", "br", "bh"):
+            getattr(p, f).data[:] = rng.standard_normal(p.d_hidden)
+
+
+# (T, D, H, non-zero biases, one GruParams for both directions)
+BIGRU_CASES = {
+    "t1": (1, 6, 3, False, False),
+    "t7-d-not-2h": (7, 5, 4, False, False),
+    "distinct-biased": (9, 8, 4, True, False),
+    "shared-biased": (6, 4, 2, True, True),
+    "desk": (292, 128, 64, True, False),
+}
+
+
+@pytest.mark.parametrize("case", BIGRU_CASES.values(), ids=BIGRU_CASES.keys())
+def test_fused_bigru_matches_per_frame_oracle(case):
+    steps, d_in, hidden, biased, shared = case
+    rng = np.random.default_rng(14)
+    fwd = nn.GruParams(d_in, hidden, rng)
+    bwd = fwd if shared else nn.GruParams(d_in, hidden, rng)
+    if biased:
+        randomize_biases([fwd] if shared else [fwd, bwd], rng)
+    seq = ad.Tensor(rng.standard_normal((steps, d_in)))
+    g = rng.standard_normal((steps, 2 * hidden))
+    leaves = [seq, *fwd.tensors(), *bwd.tensors()]
+    got = value_and_grads(lambda: nn.bigru_layer(seq, fwd, bwd), leaves, g)
+    want = value_and_grads(lambda: bigru_by_frames(seq, fwd, bwd), leaves, g)
+    assert len(got) == 20   # output, input gradient, 18 parameter gradients
+    for a, b in zip(got, want):
+        assert_close(a, b)
+
+
+def test_fused_gru_cell_matches_per_step_oracle():
+    rng = np.random.default_rng(15)
+    p = nn.GruParams(5, 4, rng)
+    randomize_biases([p], rng)
+    x, h = ad.Tensor(rng.standard_normal(5)), ad.Tensor(rng.standard_normal(4))
+    g = rng.standard_normal(4)
+    leaves = [x, h, *p.tensors()]
+    got = value_and_grads(lambda: nn.gru_cell(x, h, p), leaves, g)
+    want = value_and_grads(lambda: gru_cell_by_step(x, h, p), leaves, g)
+    assert len(got) == 12   # output, x and h_prev gradients, 9 parameter gradients
+    for a, b in zip(got, want):
+        assert_close(a, b)
+
+
 # --- linear / adam / grad_check ------------------------------------------
 
 def test_linear_grad_check_tight():
