@@ -5,6 +5,12 @@ backward rule on the result. Creation order doubles as the tape: it is a
 topological order of the graph, so `backward` walks nodes by descending
 creation index and visits each exactly once. Gradients accumulate into
 `.grad` and are bit-reproducible for identical runs.
+
+Only tensors that need a gradient get a `.grad`. A `Tensor` built directly
+(a parameter, a test leaf) needs one; a raw array an op wraps through
+:func:`as_tensor` (model input, targets, scalar factors) is a constant and
+does not; an op's result needs one iff any parent does. An op with only
+constant parents, and any op under :func:`no_grad`, returns a constant leaf.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ def no_grad():
 class Tensor:
     """Node in the differentiation graph; leaves have no parents."""
 
-    __slots__ = ("data", "grad", "parents", "bwd", "seq")
+    __slots__ = ("data", "grad", "parents", "bwd", "seq", "needs_grad")
 
     def __init__(self, data, parents=(), bwd=None):
         self.data = np.asarray(data, dtype=np.float64)
@@ -43,51 +49,39 @@ class Tensor:
         self.parents = parents
         self.bwd = bwd
         self.seq = next(_counter)
+        self.needs_grad = True
 
     @property
     def shape(self):
         return self.data.shape
 
-    def backward(self):
-        backward(self)
-
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, seq={self.seq})"
 
-    def __add__(self, other):
-        return add(self, other)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, other)
-
-    def __mul__(self, other):
-        return mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
+def _constant(data) -> Tensor:
+    t = Tensor(data)
+    t.needs_grad = False
+    return t
 
 
 def as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
+    """`x` itself if it is a Tensor, else a constant wrapping it."""
+    return x if isinstance(x, Tensor) else _constant(x)
 
 
 def accumulate(t: Tensor, g: np.ndarray):
+    if not t.needs_grad:
+        return
     if t.grad is None:
         t.grad = np.zeros_like(t.data)
     t.grad += g
 
 
 def _node(data, parents, bwd) -> Tensor:
-    if not _grad_enabled:
-        return Tensor(data)
-    return Tensor(data, parents, bwd)
+    if _grad_enabled and any(p.needs_grad for p in parents):
+        return Tensor(data, parents, bwd)
+    return _constant(data)
 
 
 def backward(loss: Tensor):
@@ -134,10 +128,6 @@ def add(a, b) -> Tensor:
     return _node(out, (a, b), bwd)
 
 
-def sub(a, b) -> Tensor:
-    return add(a, mul(b, -1.0))
-
-
 def mul(a, b) -> Tensor:
     a, b = as_tensor(a), as_tensor(b)
     out = a.data * b.data
@@ -150,31 +140,17 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    """Matrix product for [n,k]@[k,m] or [k]@[k,m]."""
+    """Matrix product [n,k]@[k,m]; both operands must be 2-D."""
     a, b = as_tensor(a), as_tensor(b)
-    if b.data.ndim != 2 or a.data.ndim not in (1, 2):
-        raise ShapeMismatch(f"matmul on {a.data.shape} @ {b.data.shape}")
-    if a.data.shape[-1] != b.data.shape[0]:
+    if a.data.ndim != 2 or b.data.ndim != 2 or a.data.shape[1] != b.data.shape[0]:
         raise ShapeMismatch(f"matmul on {a.data.shape} @ {b.data.shape}")
     out = a.data @ b.data
 
     def bwd(g):
         accumulate(a, g @ b.data.T)
-        if a.data.ndim == 1:
-            accumulate(b, np.outer(a.data, g))
-        else:
-            accumulate(b, a.data.T @ g)
+        accumulate(b, a.data.T @ g)
 
     return _node(out, (a, b), bwd)
-
-
-def tsum(a) -> Tensor:
-    a = as_tensor(a)
-
-    def bwd(g):
-        accumulate(a, np.full_like(a.data, float(g)))
-
-    return _node(a.data.sum(), (a,), bwd)
 
 
 def mse(a, b) -> Tensor:
@@ -215,36 +191,6 @@ def elu(a) -> Tensor:
 
     def bwd(g):
         accumulate(a, g * np.where(a.data > 0, 1.0, neg + 1.0))
-
-    return _node(out, (a,), bwd)
-
-
-def sigmoid(a) -> Tensor:
-    a = as_tensor(a)
-    out = 1.0 / (1.0 + np.exp(-a.data))
-
-    def bwd(g):
-        accumulate(a, g * out * (1.0 - out))
-
-    return _node(out, (a,), bwd)
-
-
-def tanh(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.tanh(a.data)
-
-    def bwd(g):
-        accumulate(a, g * (1.0 - out * out))
-
-    return _node(out, (a,), bwd)
-
-
-def exp(a) -> Tensor:
-    a = as_tensor(a)
-    out = np.exp(a.data)
-
-    def bwd(g):
-        accumulate(a, g * out)
 
     return _node(out, (a,), bwd)
 

@@ -364,15 +364,18 @@ def load_example(path) -> TrainingExample:
         offset += 4 * count
     dry_scale, rir_scale, reverb_scale = struct.unpack_from("<3f", raw, offset)
     dry_log, rir_mag, reverb_mag = arrays
-    return TrainingExample(
-        input_logmag=np.log(np.maximum(reverb_mag, dsp.LOG_FLOOR)),
-        dry_target_logmag=dry_log,
-        rir_target_mag=rir_mag,
-        reverb_target_mag=reverb_mag,
-        dry_scale=dry_scale,
-        rir_scale=rir_scale,
-        reverb_scale=reverb_scale,
-    )
+    try:
+        return TrainingExample(
+            input_logmag=dsp.log_magnitude(reverb_mag),
+            dry_target_logmag=dry_log,
+            rir_target_mag=rir_mag,
+            reverb_target_mag=reverb_mag,
+            dry_scale=dry_scale,
+            rir_scale=rir_scale,
+            reverb_scale=reverb_scale,
+        )
+    except ValueError as exc:
+        raise ParseError(f"{path}: {exc}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -394,15 +397,14 @@ def save_manifest(manifest: CorpusManifest, path) -> None:
 
 
 def load_manifest(path) -> CorpusManifest:
-    text = Path(path).read_text(encoding="utf-8")
     manifest = CorpusManifest()
     header_seen = False
-    for lineno, line in enumerate(text.splitlines(), start=1):
+    for lineno, line in enumerate(Path(path).read_bytes().splitlines(), start=1):
         if not line.strip():
             continue
         try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+            obj = json.loads(line.decode("utf-8"))
+        except ValueError as exc:  # bad UTF-8 or bad JSON
             raise ParseError(str(exc), line=lineno) from exc
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line=lineno)

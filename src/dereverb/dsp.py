@@ -141,6 +141,8 @@ def read_wav(path) -> AudioClip:
         raise CorruptHeader(f"{path}: bad fmt chunk")
     if samples.size == 0:
         raise EmptyAudio(f"{path}: no samples")
+    if not np.all(np.isfinite(samples)):
+        raise CorruptHeader(f"{path}: data chunk holds non-finite samples")
     if channels > 1:
         samples = samples[: (samples.size // channels) * channels]
         samples = samples.reshape(-1, channels).mean(axis=1)

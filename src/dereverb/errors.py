@@ -11,7 +11,8 @@ class UnsupportedFormat(DereverbError):
 
 
 class CorruptHeader(DereverbError):
-    """File is not a parseable RIFF/WAVE container."""
+    """File is not a parseable RIFF/WAVE container, or its data chunk holds
+    no valid samples."""
 
 
 class EmptyAudio(DereverbError):

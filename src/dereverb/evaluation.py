@@ -1,5 +1,5 @@
 """Checkpoint evaluation: spectral distances for dry estimates, decay
-metrics for impulse-response estimates, audio reconstruction, CSV reports.
+metrics for impulse-response estimates, CSV reports.
 """
 
 from __future__ import annotations
@@ -10,7 +10,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import corpus, dsp, models, trainer
+from . import corpus, models, trainer
 from .autodiff import no_grad
 from .errors import EmptySplit, InsufficientDecay, ShapeMismatch, ZeroEnergy
 
@@ -54,23 +54,6 @@ def t60_estimate(edc_curve: np.ndarray, hop_s: float = 0.016) -> float:
     if slope >= 0.0:
         raise InsufficientDecay("fitted slope is not decaying")
     return float(-60.0 / slope * hop_s)
-
-
-def reconstruct_audio(est_logmag: np.ndarray, reverberant_spec: dsp.ComplexSpectrogram,
-                      scale: float, length: int | None = None) -> dsp.AudioClip:
-    """Audition an estimate: exp the log-magnitude, restore its recorded
-    scale, borrow the reverberant phase, and invert the STFT."""
-    if est_logmag.shape != reverberant_spec.shape:
-        raise ShapeMismatch(
-            f"estimate {est_logmag.shape} vs phase source {reverberant_spec.shape}")
-    mag = np.exp(est_logmag) * (scale if scale > 0 else 1.0)
-    ref = np.hypot(reverberant_spec.re, reverberant_spec.im)
-    safe = np.where(ref > 0, ref, 1.0)
-    re = mag * np.where(ref > 0, reverberant_spec.re / safe, 1.0)
-    im = mag * np.where(ref > 0, reverberant_spec.im / safe, 0.0)
-    spec = dsp.ComplexSpectrogram(re, im, reverberant_spec.frame_len,
-                                  reverberant_spec.hop)
-    return dsp.istft(spec, length=length)
 
 
 @dataclass

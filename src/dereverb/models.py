@@ -319,12 +319,16 @@ class JointModel:
 # Reverberant reconstruction
 # ---------------------------------------------------------------------------
 
+def _causal_windows(x: np.ndarray, k: int) -> np.ndarray:
+    """[T, F] -> [T, F, k] view whose window t holds rows t-k+1 .. t of x,
+    zero before row 0."""
+    padded = np.concatenate([np.zeros((k - 1, x.shape[1])), x])
+    return np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
+
+
 def _frame_convolve(rir_mag: np.ndarray, dry_mag: np.ndarray) -> np.ndarray:
     """out[t,f] = sum_tau rir[tau,f] * dry[t-tau,f], truncated to dry frames."""
-    k = rir_mag.shape[0]
-    padded = np.concatenate([np.zeros((k - 1, dry_mag.shape[1])), dry_mag])
-    windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
-    return np.einsum("tfw,wf->tf", windows, rir_mag[::-1])
+    return np.einsum("tfw,wf->tf", _causal_windows(dry_mag, len(rir_mag)), rir_mag[::-1])
 
 
 def reconstruct_reverb(rir_mag_est, dry_mag) -> Tensor:
@@ -335,18 +339,15 @@ def reconstruct_reverb(rir_mag_est, dry_mag) -> Tensor:
             or rir_mag_est.data.shape[1] != dry_mag.data.shape[1]:
         raise ShapeMismatch(
             f"rir {rir_mag_est.data.shape} vs dry {dry_mag.data.shape}")
-    rir, dry = rir_mag_est.data, dry_mag.data
-    k = rir.shape[0]
-    out = _frame_convolve(rir, dry)
+    rir = rir_mag_est.data
+    windows = _causal_windows(dry_mag.data, len(rir))
+    out = np.einsum("tfw,wf->tf", windows, rir[::-1])
 
     def bwd(g):
-        padded = np.concatenate([np.zeros((k - 1, dry.shape[1])), dry])
-        windows = np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
-        g_rir = np.einsum("tfw,tf->wf", windows, g)[::-1]
-        ad.accumulate(rir_mag_est, g_rir)
-        g_pad = np.concatenate([g, np.zeros((k - 1, g.shape[1]))])
-        g_windows = np.lib.stride_tricks.sliding_window_view(g_pad, k, axis=0)
-        ad.accumulate(dry_mag, np.einsum("tfw,wf->tf", g_windows, rir))
+        ad.accumulate(rir_mag_est, np.einsum("tfw,tf->wf", windows, g)[::-1])
+        if dry_mag.needs_grad:
+            # the adjoint in dry is the same convolution run backwards in time
+            ad.accumulate(dry_mag, _frame_convolve(rir, g[::-1])[::-1])
 
     return ad._node(out, (rir_mag_est, dry_mag), bwd)
 

@@ -12,7 +12,7 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, accumulate, as_tensor, backward, matmul, no_grad, _node
+from .autodiff import Tensor, accumulate, add, as_tensor, backward, matmul, no_grad, _node
 from .errors import ShapeMismatch
 
 
@@ -121,8 +121,9 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid") -> Tensor:
 
     def bwd(g):
         accumulate(kernel, _kernel_grad(xd, g, kernel.data.shape, stride))
-        gx = _correlate_adjoint(g, kernel.data, stride, xd.shape)
-        accumulate(x, gx[t0:t0 + x.data.shape[0], f0:f0 + x.data.shape[1]])
+        if x.needs_grad:
+            gx = _correlate_adjoint(g, kernel.data, stride, xd.shape)
+            accumulate(x, gx[t0:t0 + x.data.shape[0], f0:f0 + x.data.shape[1]])
         if bias is not None:
             accumulate(bias, g.sum(axis=(0, 1)))
 
@@ -162,10 +163,10 @@ def conv2d_transposed(x, kernel, bias=None, stride=(1, 1)) -> Tensor:
 
 
 def linear(x, weight, bias=None) -> Tensor:
-    """x @ W (+ b) for x of shape [D] or [T, D]."""
+    """x @ W (+ b) for a 2-D x of shape [T, D]."""
     out = matmul(x, weight)
     if bias is not None:
-        out = out + bias
+        out = add(out, bias)
     return out
 
 

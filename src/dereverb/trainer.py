@@ -181,7 +181,7 @@ def example_losses(model, example, weights):
     est = models.estimates(model, example.input_logmag)
     if len(est) == 2:
         return models.joint_loss(est["dry"], est["rir"], example, weights)
-    zero = ad.Tensor(0.0)
+    zero = ad.as_tensor(0.0)
     losses = {head: ad.mse(value, getattr(example, models.HEAD_TARGETS[head]))
               for head, value in est.items()}
     (total,) = losses.values()

@@ -1,7 +1,13 @@
 import numpy as np
 import pytest
 
+from dereverb import autodiff as ad
 from dereverb import dsp
+
+
+def total(t):
+    """Sum of every entry of the tensor `t`, as a scalar graph node."""
+    return ad.reshape(ad.matmul(ad.reshape(t, (1, -1)), np.ones((t.data.size, 1))), ())
 
 
 def make_dry_clip(rng, seconds=1.2, rate=16000):

@@ -154,6 +154,46 @@ def test_synth_empty_split_exits_2(pipeline_corpus, tmp_path):
     assert code == 2
 
 
+def write_with_nan_sample(source, path):
+    """Copy a float32 WAV written by dsp.write_wav to `path`, one sample made NaN."""
+    raw = bytearray(source.read_bytes())
+    raw[84:88] = np.array([np.nan], dtype="<f4").tobytes()   # sample 10 after the 44-byte header
+    path.write_bytes(bytes(raw))
+
+
+def test_non_finite_wav_is_skipped_by_prepare_and_stops_synth(pipeline_corpus, tmp_path):
+    rir_dir, dry = pipeline_corpus["rir"], pipeline_corpus["dry"] / "utt0.wav"
+    write_with_nan_sample(rir_dir / "roomA_m0.wav", rir_dir / "roomE_m0.wav")
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    ids = [r.id for r in corpus.load_manifest(manifest_path).rirs]
+    assert len(ids) == 10 and "roomE_m0" not in ids
+    write_with_nan_sample(dry, dry)
+    code = run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--out-dir", str(tmp_path / "cache")])
+    assert code == 2
+
+
+def test_train_on_malformed_cache_or_manifest_exits_2(pipeline_corpus, tmp_path):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    cache = tmp_path / "cache"
+    assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--out-dir", str(cache)]) == 0
+    train = ["train", "--manifest", str(cache / "manifest.jsonl"), "--model", "rir",
+             "--epochs", "1", "--out", str(tmp_path / "model.ckpt")]
+    files = sorted(cache.glob("*.drvb"))
+    originals = [f.read_bytes() for f in files]
+    for f, raw in zip(files, originals):   # NaN as every file's first dry target value
+        f.write_bytes(raw[:32] + np.array([np.nan], "<f4").tobytes() + raw[36:])
+    assert run(train) == 2
+    for f, raw in zip(files, originals):
+        f.write_bytes(raw)
+    manifest = cache / "manifest.jsonl"
+    manifest.write_bytes(manifest.read_bytes().replace(b"utt0", b"utt\xff", 1))
+    assert run(train) == 2
+
+
 def full_pipeline(pc, root, seed):
     manifest_path = root / "m.jsonl"
     assert run(prepare_args(pc, manifest_path, seed=seed)) == 0

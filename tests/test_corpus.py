@@ -1,6 +1,7 @@
 import builtins
 import errno
 import io
+import struct
 
 import numpy as np
 import pytest
@@ -283,6 +284,25 @@ def test_example_cache_rejects_truncation(tmp_path):
         corpus.load_example(path)
 
 
+def cache_bytes(dry_log, rir_mag, reverb_mag):
+    """Cache-file bytes for three arrays taken as is, with unit scales."""
+    header = struct.pack("<4sI6I", corpus.CACHE_MAGIC, corpus.CACHE_VERSION,
+                         *dry_log.shape, *rir_mag.shape, *reverb_mag.shape)
+    arrays = b"".join(a.astype("<f4").tobytes() for a in (dry_log, rir_mag, reverb_mag))
+    return header + arrays + struct.pack("<3f", 1.0, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("rir_bins, bad", [(4, np.nan), (4, np.inf), (5, 0.0)],
+                         ids=["nan", "inf", "bin-mismatch"])
+def test_example_cache_rejects_bad_content(tmp_path, rir_bins, bad):
+    dry_log, reverb = np.zeros((6, 4)), np.ones((6, 4))
+    dry_log[2, 1] = bad
+    path = tmp_path / "ex.drvb"
+    path.write_bytes(cache_bytes(dry_log, np.ones((3, rir_bins)), reverb))
+    with pytest.raises(ParseError):
+        corpus.load_example(path)
+
+
 def test_example_cache_rejects_bad_version(tmp_path):
     rng = np.random.default_rng(9)
     pair, manifest = setup_synth(tmp_path, make_rir_clip(rng))
@@ -314,12 +334,13 @@ def test_manifest_round_trip(tmp_path):
 
 def test_manifest_parse_error_carries_line(tmp_path):
     path = tmp_path / "m.jsonl"
-    for bad in ['this is not json',
-                '{"kind": "pair", "dry_path": "d", "rir_id": "a", "seed": 1, "extra": 0}',
-                '{"kind": "pair", "dry_path": "d", "rir_id": "a"}']:
-        path.write_text('{"version": 1}\n{"kind": "rir", "id": "a", "path": "p", '
-                        '"group_key": "g", "split": "train", "duration_s": 1.0}\n'
-                        + bad + '\n')
+    for bad in [b'this is not json',
+                b'{"kind": "pair", "dry_path": "d", "rir_id": "a", "seed": 1, "extra": 0}',
+                b'{"kind": "pair", "dry_path": "d", "rir_id": "a"}',
+                b'{"kind": "pair", "dry_path": "d\xff", "rir_id": "a", "seed": 1}']:
+        path.write_bytes(b'{"version": 1}\n{"kind": "rir", "id": "a", "path": "p", '
+                         b'"group_key": "g", "split": "train", "duration_s": 1.0}\n'
+                         + bad + b'\n')
         with pytest.raises(ParseError) as err:
             corpus.load_manifest(path)
         assert err.value.line == 3

@@ -99,6 +99,14 @@ def test_read_rejects_partial_sample(tmp_path, audio_format, bits, size):
         dsp.read_wav(path)
 
 
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_read_rejects_non_finite_sample(tmp_path, value):
+    path = tmp_path / "bad.wav"
+    path.write_bytes(wav_bytes(3, 32, np.array([0.5, value, 0.0], dtype="<f4").tobytes()))
+    with pytest.raises(CorruptHeader):
+        dsp.read_wav(path)
+
+
 def test_read_rejects_24bit(tmp_path):
     import struct
     path = tmp_path / "b24.wav"

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from dereverb import dsp, evaluation, models
+from dereverb import evaluation, models
 from dereverb.errors import EmptySplit, InsufficientDecay, ShapeMismatch, ZeroEnergy
 from test_models import tiny_example
 
@@ -88,37 +88,6 @@ def test_t60_flat_curve_raises():
 def test_t60_shallow_curve_raises():
     with pytest.raises(InsufficientDecay):
         evaluation.t60_estimate(-0.1 * np.arange(126)[:100] * 0 - 10.0)
-
-
-# --- audio reconstruction -------------------------------------------------------
-
-def test_reconstruct_audio_round_trip():
-    rng = np.random.default_rng(4)
-    x = rng.uniform(-0.5, 0.5, 16000)
-    clip = dsp.AudioClip(x, 16000)
-    spec = dsp.stft(clip)
-    mag = dsp.normalize_spectrogram(dsp.magnitude(spec))
-    est_logmag = dsp.log_magnitude(mag)
-    out = evaluation.reconstruct_audio(est_logmag, spec, mag.scale, length=16000)
-    # The log floor only bites bins below scale * 1e-5, so speech-level
-    # content reconstructs nearly exactly.
-    assert np.abs(out.samples - x).max() < 1e-5
-
-
-def test_reconstruct_audio_zero_magnitude():
-    spec = dsp.stft(dsp.AudioClip(np.random.default_rng(5).standard_normal(8000), 16000))
-    est = np.full(spec.shape, -60.0)
-    out = evaluation.reconstruct_audio(est, spec, 1.0, length=8000)
-    assert np.abs(out.samples).max() < 1e-20
-
-
-def test_reconstruct_audio_standard_length():
-    rng = np.random.default_rng(6)
-    clip = dsp.AudioClip(rng.uniform(-0.5, 0.5, 80000), 16000)
-    spec = dsp.stft(clip)
-    est = dsp.log_magnitude(dsp.magnitude(spec))
-    out = evaluation.reconstruct_audio(est, spec, 0.0, length=80000)
-    assert len(out) == 80000
 
 
 # --- evaluate ----------------------------------------------------------------

@@ -5,6 +5,7 @@ from dereverb import autodiff as ad
 from dereverb import models, nn
 from dereverb.corpus import TrainingExample
 from dereverb.errors import WrongFrameCount
+from conftest import total
 
 
 def naive_frame_convolve(rir, dry):
@@ -199,6 +200,40 @@ def test_reconstruct_gradients_match_fd():
     assert nn.grad_check(loss_fn, [rir, dry]) < 1e-6
 
 
+def dry_adjoint_by_windows(rir, g):
+    """The former dry gradient of reconstruct_reverb: windows of g padded at
+    its end, against the RIR."""
+    g_pad = np.concatenate([g, np.zeros((len(rir) - 1, g.shape[1]))])
+    windows = np.lib.stride_tricks.sliding_window_view(g_pad, len(rir), axis=0)
+    return np.einsum("tfw,wf->tf", windows, rir)
+
+
+@pytest.mark.parametrize("frames", [12, 3], ids=["rir-shorter", "rir-longer"])
+def test_reconstruct_constant_dry_skips_its_adjoint(frames, monkeypatch):
+    calls = []
+    convolve = models._frame_convolve
+    monkeypatch.setattr(models, "_frame_convolve",
+                        lambda *args: calls.append(args) or convolve(*args))
+    rng = np.random.default_rng(16)
+    rir = rng.uniform(0, 1, (5, 3))
+    dry = rng.uniform(0, 1, (frames, 3))
+    g = rng.standard_normal((frames, 3))
+
+    def rir_grad(dry_in):
+        r = ad.Tensor(rir)
+        ad.backward(total(ad.mul(models.reconstruct_reverb(r, dry_in), g)))
+        return r.grad
+
+    as_constant = rir_grad(dry)
+    assert calls == []
+    d = ad.Tensor(dry)
+    as_leaf = rir_grad(d)
+    assert len(calls) == 1
+    np.testing.assert_array_equal(as_constant, as_leaf)
+    want = dry_adjoint_by_windows(rir, g)
+    assert np.abs(d.grad - want).max() <= 1e-12 * np.abs(want).max()
+
+
 # --- joint model --------------------------------------------------------------
 
 def test_joint_trunk_arithmetic():
@@ -219,7 +254,7 @@ def test_joint_dry_head_param_disconnected_from_rec_loss():
                                            weights=(0.0, 0.0, 1.0))
     for _, p in model.params():
         p.grad = None
-    total.backward()
+    ad.backward(total)
     by_name = dict(model.params())
     assert by_name["dry.out.weight"].grad is None \
         or np.all(by_name["dry.out.weight"].grad == 0)
@@ -235,7 +270,7 @@ def test_joint_trunk_sees_gradient_from_each_loss_term():
             p.grad = None
         dry_est, rir_est = model.forward(example.input_logmag)
         total, *_ = models.joint_loss(dry_est, rir_est, example, weights=weights)
-        total.backward()
+        ad.backward(total)
         g = by_name["trunk0.kernel"].grad
         assert g is not None and np.linalg.norm(g) > 0, f"term {idx}"
 

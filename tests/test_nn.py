@@ -4,6 +4,7 @@ import pytest
 from dereverb import autodiff as ad
 from dereverb import nn
 from dereverb.errors import ShapeMismatch
+from conftest import total
 
 
 def conv2d_reference(x, kernel, stride=(1, 1), padding="valid"):
@@ -154,8 +155,31 @@ def test_conv2d_transposed_is_exactly_the_conv2d_input_gradient():
     x = ad.Tensor(rng.standard_normal((9, 7, 2)))
     k = ad.Tensor(rng.standard_normal((3, 2, 2, 4)))
     y = rng.standard_normal((4, 6, 4))
-    ad.backward(ad.tsum(ad.mul(nn.conv2d(x, k, stride=(2, 1)), y)))
+    ad.backward(total(ad.mul(nn.conv2d(x, k, stride=(2, 1)), y)))
     np.testing.assert_array_equal(nn.conv2d_transposed(y, k, stride=(2, 1)).data, x.grad)
+
+
+def test_conv2d_of_a_constant_skips_the_input_adjoint(monkeypatch):
+    calls = []
+    adjoint = nn._correlate_adjoint
+    monkeypatch.setattr(nn, "_correlate_adjoint",
+                        lambda *args: calls.append(args) or adjoint(*args))
+    rng = np.random.default_rng(8)
+    x = rng.standard_normal((9, 7, 2))
+    kernel, bias = rng.standard_normal((3, 2, 2, 4)), rng.standard_normal(4)
+    g = rng.standard_normal((5, 4, 4))
+
+    def kernel_grad(inp):
+        k = ad.Tensor(kernel)
+        out = nn.conv2d(inp, k, ad.Tensor(bias), stride=(2, 2), padding="same")
+        ad.backward(total(ad.mul(out, g)))
+        return k.grad
+
+    as_constant = kernel_grad(x)
+    assert calls == []
+    as_leaf = kernel_grad(ad.Tensor(x))
+    assert len(calls) == 1
+    np.testing.assert_array_equal(as_constant, as_leaf)
 
 
 # --- the column form against the tap loops it replaced ---------------------
@@ -232,7 +256,7 @@ def test_column_core_matches_tap_loops(case, rows, monkeypatch):
 
     xt, kt, bt = ad.Tensor(x), ad.Tensor(k), ad.Tensor(b)
     out = nn.conv2d(xt, kt, bt, stride=stride, padding=padding)
-    ad.backward(ad.tsum(ad.mul(out, g)))
+    ad.backward(total(ad.mul(out, g)))
     assert_close(out.data, correlate_by_taps(xd, k, stride) + b)
     assert_close(kt.grad, kernel_grad_by_taps(xd, g, k_shape, stride))
     gx = nn._correlate_adjoint(g, k, stride, xd.shape)
@@ -246,7 +270,7 @@ def test_column_core_matches_tap_loops(case, rows, monkeypatch):
     t_up = (out_shape[0] - 1) * stride[0] + k_t
     f_up = (out_shape[1] - 1) * stride[1] + k_f
     y = rng.standard_normal((t_up, f_up, c_in))
-    ad.backward(ad.tsum(ad.mul(up, y)))
+    ad.backward(total(ad.mul(up, y)))
     assert_close(up.data, nn._correlate_adjoint(g, k, stride, y.shape) + bt.data)
     assert_close(gt.grad, correlate_by_taps(y, k, stride))
     assert_close(kt.grad, kernel_grad_by_taps(y, g, k_shape, stride))
@@ -409,7 +433,7 @@ def value_and_grads(fn, leaves, g):
     for t in leaves:
         t.grad = None
     out = fn()
-    ad.backward(ad.tsum(ad.mul(out, g)))
+    ad.backward(total(ad.mul(out, g)))
     return [out.data] + [t.grad.copy() for t in leaves]
 
 
@@ -499,7 +523,7 @@ def test_adam_descends_quadratic():
     trajectory = []
     for _ in range(50):
         opt.zero_grad()
-        ad.tsum(ad.mul(theta, theta)).backward()
+        ad.backward(total(ad.mul(theta, theta)))
         opt.step()
         trajectory.append(abs(float(theta.data[0])))
     for a, b in zip(trajectory, trajectory[1:]):
@@ -521,7 +545,7 @@ def test_grad_check_samples_large_params():
     rng = np.random.default_rng(14)
     w = ad.Tensor(rng.standard_normal((50, 40)))
     x = rng.standard_normal(50)
-    loss_fn = lambda: ad.tsum(ad.Tensor(x) @ w)
+    loss_fn = lambda: total(ad.matmul(x[None], w))
     err = nn.grad_check(loss_fn, [w], max_entries=100)
     assert err < 1e-6
 

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from dereverb import autodiff as ad
 from dereverb import models, trainer
 from dereverb.errors import (
     DereverbError,
@@ -35,6 +36,40 @@ def tiny_models(monkeypatch):
     monkeypatch.setattr(m, "build_model",
                         lambda kind, scale="desk", rng=None, weights=None:
                         m.build_tiny_model(kind, rng))
+
+
+def reachable_leaves(root):
+    """Every parentless tensor the graph of `root` reaches."""
+    seen, stack = {id(root): root}, [root]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return [t for t in seen.values() if not t.parents]
+
+
+def one_step(kind, wrap_input):
+    """A tiny model of `kind` after one backward pass of its training loss;
+    its input is a raw array, or a Tensor leaf when `wrap_input`."""
+    model = models.build_tiny_model(kind, np.random.default_rng(3))
+    example = tiny_example(np.random.default_rng(4), consistent=False)
+    if wrap_input:
+        example.input_logmag = ad.Tensor(example.input_logmag)
+    total = trainer.example_losses(model, example, (0.5, 1.0, 2.0))[0]
+    ad.backward(total)
+    return model, total, example.input_logmag
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_only_parameters_get_gradients(kind):
+    model, total, _ = one_step(kind, wrap_input=False)
+    wrapped, _, x = one_step(kind, wrap_input=True)
+    for (name, p), (_, q) in zip(model.params(), wrapped.params()):
+        assert np.array_equal(p.grad, q.grad), name
+    assert x.grad is not None and x.grad.shape == x.shape
+    with_grad = {id(t) for t in reachable_leaves(total) if t.grad is not None}
+    assert with_grad == {id(p) for _, p in model.params()}
 
 
 def test_training_reduces_loss(tiny_models):
