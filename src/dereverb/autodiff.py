@@ -1,10 +1,14 @@
-"""Reverse-mode differentiation over dense float64 arrays.
+"""Reverse-mode differentiation over dense float arrays.
 
-A :class:`Tensor` wraps an ndarray; every op records its parents and a
-backward rule on the result. Creation order doubles as the tape: it is a
-topological order of the graph, so `backward` walks nodes by descending
-creation index and visits each exactly once. Gradients accumulate into
-`.grad` and are bit-reproducible for identical runs.
+A :class:`Tensor` wraps an ndarray of the engine's precision: float64 unless
+a :func:`precision` block says otherwise (training runs in float32; scoring
+and gradient checks in float64). Ops compute in their operands' dtype, so a
+graph built inside one block holds one precision throughout. Every op
+records its parents and a backward rule on the result. Creation order
+doubles as the tape: it is a topological order of the graph, so `backward`
+walks nodes by descending creation index and visits each exactly once.
+Gradients accumulate into `.grad` and are bit-reproducible for identical
+runs.
 
 Only tensors that need a gradient get a `.grad`. A `Tensor` built directly
 (a parameter, a test leaf) needs one; a raw array an op wraps through
@@ -24,6 +28,7 @@ from .errors import NotScalarLoss, ShapeMismatch
 
 _counter = itertools.count()
 _grad_enabled = True
+_dtype = np.float64
 
 
 @contextmanager
@@ -38,13 +43,25 @@ def no_grad():
         _grad_enabled = prev
 
 
+@contextmanager
+def precision(dtype):
+    """Build every tensor inside the block as `dtype` (float32 or float64)."""
+    global _dtype
+    prev = _dtype
+    _dtype = dtype
+    try:
+        yield
+    finally:
+        _dtype = prev
+
+
 class Tensor:
     """Node in the differentiation graph; leaves have no parents."""
 
     __slots__ = ("data", "grad", "parents", "bwd", "seq", "needs_grad")
 
     def __init__(self, data, parents=(), bwd=None):
-        self.data = np.asarray(data, dtype=np.float64)
+        self.data = np.asarray(data, dtype=_dtype)
         self.grad = None
         self.parents = parents
         self.bwd = bwd

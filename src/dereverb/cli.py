@@ -4,7 +4,8 @@ Exit codes: 0 ok, 1 I/O failure, 2 data problem, 3 numeric failure,
 64 usage. All randomness fans out from --seed through named streams, so any
 subcommand is bit-reproducible when BLAS runs one thread
 (OPENBLAS_NUM_THREADS=1); with more, GEMM summation order and so training
-bytes may change. Only synth takes --threads, its worker count.
+bytes may change. train computes in float32; eval, gradcheck and info in
+float64. Only synth takes --threads, its worker count.
 """
 
 from __future__ import annotations

@@ -322,7 +322,7 @@ class JointModel:
 def _causal_windows(x: np.ndarray, k: int) -> np.ndarray:
     """[T, F] -> [T, F, k] view whose window t holds rows t-k+1 .. t of x,
     zero before row 0."""
-    padded = np.concatenate([np.zeros((k - 1, x.shape[1])), x])
+    padded = np.concatenate([np.zeros((k - 1, x.shape[1]), x.dtype), x])
     return np.lib.stride_tricks.sliding_window_view(padded, k, axis=0)
 
 

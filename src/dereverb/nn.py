@@ -1,5 +1,7 @@
 """Neural-network layers on the autodiff engine, plus Adam and grad checking.
 
+Every layer computes in its operands' dtype: float32 when training, float64
+for scoring and gradient checks (see :func:`autodiff.precision`).
 Convolutions follow the cross-correlation convention used by deep-learning
 frameworks (no kernel flip), unlike the true convolutions in :mod:`dsp`.
 All layers operate on single examples: conv inputs are [T, F, C], recurrent
@@ -59,7 +61,7 @@ def _correlate(x, kernel, stride):
     """Valid strided cross-correlation: [T,F,Cin] with [kT,kF,Cin,Cout] -> [T',F',Cout]."""
     k_t, k_f, c_in, c_out = kernel.shape
     shape = ((x.shape[0] - k_t) // stride[0] + 1, (x.shape[1] - k_f) // stride[1] + 1, c_out)
-    out = np.empty(shape)
+    out = np.empty(shape, np.result_type(x, kernel))
     k2 = kernel.reshape(-1, c_out)
     for rows, cols in _column_blocks(x, k_t, k_f, stride):
         out[rows] = (cols @ k2).reshape(-1, *shape[1:])
@@ -70,7 +72,7 @@ def _correlate_adjoint(g, kernel, stride, shape):
     """Adjoint of :func:`_correlate` in its input: [T',F',Cout] -> `shape` [T,F,Cin]."""
     k_t, k_f, c_in, c_out = kernel.shape
     g2 = g.reshape(-1, c_out)
-    out = np.zeros(shape)
+    out = np.zeros(shape, np.result_type(g, kernel))
     for i in range(k_t):
         for j in range(k_f):
             out[_window(i, j, stride, g.shape)] += \
@@ -81,7 +83,7 @@ def _correlate_adjoint(g, kernel, stride, shape):
 def _kernel_grad(x, g, kernel_shape, stride):
     """Gradient of <_correlate(x, k), g> in k."""
     k_t, k_f, c_in, c_out = kernel_shape
-    gk = np.zeros((k_t * k_f * c_in, c_out))
+    gk = np.zeros((k_t * k_f * c_in, c_out), np.result_type(x, g))
     for rows, cols in _column_blocks(x, k_t, k_f, stride):
         gk += cols.T @ g[rows].reshape(-1, c_out)
     return gk.reshape(kernel_shape)
@@ -216,21 +218,28 @@ def _gru_scan(x, h0, p: GruParams, reverse):
 
     Returns the states [T, Dh] (row t is the state after frame t) and the
     tape :func:`_gru_scan_backward` needs. The input projections of all
-    frames are one GEMM; each step adds only h Uz|Ur and (r*h) Uh.
+    frames are one GEMM; each step adds only h Uz|Ur and (r*h) Uh. The
+    weights are cast once to the scan's dtype, that of x and the weights.
     """
     steps, n = len(x), p.d_hidden
-    w = np.concatenate([p.wz.data, p.wr.data, p.wh.data], axis=1)
-    u_zr = np.concatenate([p.uz.data, p.ur.data], axis=1)
-    a = x @ w + np.concatenate([p.bz.data, p.br.data, p.bh.data])
-    z, r, c, h_prev, out = (np.empty((steps, n)) for _ in range(5))
+    dtype = np.result_type(x, p.wz.data)
+    w = np.concatenate([p.wz.data, p.wr.data, p.wh.data], axis=1, dtype=dtype)
+    u_zr = np.concatenate([p.uz.data, p.ur.data], axis=1, dtype=dtype)
+    u_h = p.uh.data.astype(dtype, copy=False)
+    a = x @ w + np.concatenate([p.bz.data, p.br.data, p.bh.data], dtype=dtype)
+    z, r, c, h_prev, out = (np.empty((steps, n), dtype) for _ in range(5))
     h = h0
-    for t in (reversed(range(steps)) if reverse else range(steps)):
-        h_prev[t] = h
-        zr = _sigmoid(a[t, :2 * n] + h @ u_zr)
-        z[t], r[t] = zr[:n], zr[n:]
-        c[t] = np.tanh(a[t, 2 * n:] + (r[t] * h) @ p.uh.data)
-        h = out[t] = (1.0 - z[t]) * h + z[t] * c[t]
-    return out, (x, w, u_zr, z, r, c, h_prev)
+    # In float32 exp(-a) overflows to inf for a < -88.7 and underflows for
+    # a > 87.3; 1 / (1 + inf) = 0 and 1 / (1 + tiny) = 1 are then the sigmoid
+    # to the last bit, so neither is an error.
+    with np.errstate(over="ignore", under="ignore"):
+        for t in (reversed(range(steps)) if reverse else range(steps)):
+            h_prev[t] = h
+            zr = _sigmoid(a[t, :2 * n] + h @ u_zr)
+            z[t], r[t] = zr[:n], zr[n:]
+            c[t] = np.tanh(a[t, 2 * n:] + (r[t] * h) @ u_h)
+            h = out[t] = (1.0 - z[t]) * h + z[t] * c[t]
+    return out, (x, w, u_zr, u_h, z, r, c, h_prev)
 
 
 def _gru_scan_backward(g, p: GruParams, tape, reverse):
@@ -241,17 +250,17 @@ def _gru_scan_backward(g, p: GruParams, tape, reverse):
     accumulates them into `p`. Returns the input gradient [T, Din] and the
     gradient of the initial state h0.
     """
-    x, w, u_zr, z, r, c, h_prev = tape
+    x, w, u_zr, u_h, z, r, c, h_prev = tape
     n = p.d_hidden
     k_z = (c - h_prev) * z * (1.0 - z)   # d h'/d a_z
     k_r = h_prev * r * (1.0 - r)         # d (r*h)/d a_r
     k_c = z * (1.0 - c * c)              # d h'/d a_c
-    da = np.empty((len(x), 3 * n))
-    dh = np.zeros(n)
+    da = np.empty((len(x), 3 * n), z.dtype)
+    dh = np.zeros(n, z.dtype)
     for t in (range(len(x)) if reverse else reversed(range(len(x)))):
         gt = g[t] + dh
         da[t, 2 * n:] = gt * k_c[t]
-        grh = da[t, 2 * n:] @ p.uh.data.T
+        grh = da[t, 2 * n:] @ u_h.T
         da[t, :n] = gt * k_z[t]
         da[t, n:2 * n] = grh * k_r[t]
         dh = gt * (1.0 - z[t]) + grh * r[t] + da[t, :2 * n] @ u_zr.T
@@ -305,8 +314,10 @@ def bigru_layer(seq, fwd_params: GruParams, bwd_params: GruParams) -> Tensor:
     x = seq.data
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != fwd_params.d_in:
         raise ShapeMismatch(f"bigru_layer got {x.shape}, wants [T >= 1, {fwd_params.d_in}]")
-    fwd_out, fwd_tape = _gru_scan(x, np.zeros(fwd_params.d_hidden), fwd_params, reverse=False)
-    bwd_out, bwd_tape = _gru_scan(x, np.zeros(bwd_params.d_hidden), bwd_params, reverse=True)
+    fwd_out, fwd_tape = _gru_scan(x, np.zeros(fwd_params.d_hidden, x.dtype), fwd_params,
+                                  reverse=False)
+    bwd_out, bwd_tape = _gru_scan(x, np.zeros(bwd_params.d_hidden, x.dtype), bwd_params,
+                                  reverse=True)
 
     def bwd(g):
         n = fwd_params.d_hidden
@@ -341,7 +352,7 @@ def orthogonal(rng, n) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction; moments live alongside each parameter."""
+    """Adam with bias correction; moments live alongside each parameter, in its dtype."""
 
     def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
         self.params = list(params)

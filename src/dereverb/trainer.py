@@ -1,12 +1,17 @@
 """Deterministic training loops, checkpointing, and loss logging.
 
+Training computes in float32: parameters, activations, gradients and Adam
+moments (Micikevicius et al., *Mixed Precision Training*, arXiv:1710.03740,
+without the float64 master copy that only float16 needs). Everything else,
+scoring and gradient checks included, computes in float64.
+
 A run is fully determined by (seed, config, example order) when BLAS runs
 one thread (OPENBLAS_NUM_THREADS=1; more threads may change GEMM summation
 order and so the bytes): initialization and epoch shuffles draw from named
 streams of the master seed, batches accumulate gradients in a fixed order,
 and the log records every loss component per epoch. Checkpoints capture
-parameters (float32), Adam state, and the shuffle RNG so a resumed run
-continues the same trajectory up to storage precision.
+parameters (float32), Adam state (float64, exact for float32 moments), and
+the shuffle RNG, so a resumed run continues the same trajectory exactly.
 """
 
 from __future__ import annotations
@@ -137,8 +142,8 @@ def checkpoint_from_state(model, opt: Adam, epoch: int, shuffle_rng) -> Checkpoi
     tensors = {}
     for (name, p), m, v in zip(model.params(), opt.m, opt.v):
         tensors["p." + name] = p.data.astype(np.float32)
-        tensors["m." + name] = m.copy()
-        tensors["v." + name] = v.copy()
+        tensors["m." + name] = m.astype(np.float64)
+        tensors["v." + name] = v.astype(np.float64)
     return Checkpoint(
         kind=model.kind, config=models.config_to_dict(model.config), epoch=epoch,
         adam={key: getattr(opt, key) for key in ADAM_STATE},
@@ -146,18 +151,20 @@ def checkpoint_from_state(model, opt: Adam, epoch: int, shuffle_rng) -> Checkpoi
         tensors=tensors)
 
 
-def _stored(ckpt: Checkpoint, key, shape) -> np.ndarray:
+def _stored(ckpt: Checkpoint, key, like: np.ndarray) -> np.ndarray:
+    """Checkpoint tensor `key` in the dtype of `like`, whose shape it must have."""
     stored = ckpt.tensors.get(key)
-    if stored is None or tuple(stored.shape) != shape:
-        raise ParseError(f"checkpoint tensor {key!r} is missing or not of shape {shape}")
-    return stored.astype(np.float64)
+    if stored is None or stored.shape != like.shape:
+        raise ParseError(f"checkpoint tensor {key!r} is missing or not of shape {like.shape}")
+    return stored.astype(like.dtype)
 
 
 def restore_model(ckpt: Checkpoint):
-    """Rebuild the model and overwrite its parameters from the checkpoint."""
+    """Rebuild the model and overwrite its parameters from the checkpoint, in
+    the engine's precision (float64 unless inside `autodiff.precision`)."""
     model = models.build_model_from_config(ckpt.kind, ckpt.config)
     for name, p in model.params():
-        p.data = _stored(ckpt, "p." + name, p.data.shape)
+        p.data = _stored(ckpt, "p." + name, p.data)
     return model
 
 
@@ -165,8 +172,8 @@ def _restore_optimizer(model, ckpt: Checkpoint) -> Adam:
     opt = Adam([p for _, p in model.params()])
     for key in ADAM_STATE:
         setattr(opt, key, ckpt.adam[key])
-    opt.m = [_stored(ckpt, "m." + name, p.data.shape) for name, p in model.params()]
-    opt.v = [_stored(ckpt, "v." + name, p.data.shape) for name, p in model.params()]
+    opt.m = [_stored(ckpt, "m." + name, p.data) for name, p in model.params()]
+    opt.v = [_stored(ckpt, "v." + name, p.data) for name, p in model.params()]
     return opt
 
 
@@ -199,16 +206,18 @@ def _component_values(parts):
 def train(config: TrainConfig, train_examples, val_examples=(),
           start: Checkpoint | None = None, checkpoint_path=None,
           log_path=None):
-    """Run the epoch loop and return (model, rows, final checkpoint).
+    """Run the epoch loop in float32 and return (model, rows, final checkpoint).
 
     Rows are (epoch, split, total, l_dry, l_rir, l_rec) with one train row
     per epoch and one val row when validation examples are given. `start`
     resumes from a checkpoint: parameters, Adam moments, shuffle RNG, and
-    the epoch counter continue where they left off.
+    the epoch counter continue where they left off. A non-finite loss, or a
+    non-finite gradient before an Adam step, raises `NonFiniteLoss`. The
+    returned model holds float64 parameters equal to the checkpoint's, so it
+    scores exactly as `restore_model(final)` does.
     """
     if not train_examples:
         raise EmptySplit("no training examples")
-
     if start is not None:
         if start.kind != config.model:
             raise KindMismatch(
@@ -216,53 +225,62 @@ def train(config: TrainConfig, train_examples, val_examples=(),
         if config.epochs <= start.epoch:
             raise ValueError(f"epochs must be at least {start.epoch + 1} "
                              f"to resume after epoch {start.epoch}")
-        model = restore_model(start)
-        opt = _restore_optimizer(model, start)
-        shuffle_rng = np.random.default_rng()
-        shuffle_rng.bit_generator.state = start.rng_state
-        first_epoch = start.epoch + 1
-    else:
-        model = models.build_model(config.model, scale=config.scale,
-                                   rng=rng_for(config.seed, "init"),
-                                   weights=config.weights)
-        opt = Adam([p for _, p in model.params()], lr=config.lr)
-        shuffle_rng = rng_for(config.seed, "shuffle")
-        first_epoch = 1
 
-    rows = []
-    for epoch in range(first_epoch, config.epochs + 1):
-        order = shuffle_rng.permutation(len(train_examples))
-        epoch_sum = np.zeros(4)
-        for lo in range(0, len(order), config.batch_size):
-            batch = order[lo:lo + config.batch_size]
-            opt.zero_grad()
-            for idx in batch:
-                parts = example_losses(model, train_examples[idx], config.weights)
-                values = _component_values(parts)
-                if not np.all(np.isfinite(values)):
-                    raise NonFiniteLoss(
-                        f"epoch {epoch}, example {idx}: components {values}")
-                ad.backward(ad.mul(parts[0], 1.0 / len(batch)))
-                epoch_sum += values
-            opt.step()
-        rows.append((epoch, "train", *(epoch_sum / len(order))))
+    with ad.precision(np.float32):
+        if start is not None:
+            model = restore_model(start)
+            opt = _restore_optimizer(model, start)
+            shuffle_rng = np.random.default_rng()
+            shuffle_rng.bit_generator.state = start.rng_state
+            first_epoch = start.epoch + 1
+        else:
+            model = models.build_model(config.model, scale=config.scale,
+                                       rng=rng_for(config.seed, "init"),
+                                       weights=config.weights)
+            opt = Adam([p for _, p in model.params()], lr=config.lr)
+            shuffle_rng = rng_for(config.seed, "shuffle")
+            first_epoch = 1
+        named = model.params()
 
-        if val_examples:
-            val_sum = np.zeros(4)
-            subset = val_examples[:VAL_LIMIT]
-            with no_grad():
-                for ex in subset:
-                    val_sum += _component_values(
-                        example_losses(model, ex, config.weights))
-            rows.append((epoch, "val", *(val_sum / len(subset))))
+        rows = []
+        for epoch in range(first_epoch, config.epochs + 1):
+            order = shuffle_rng.permutation(len(train_examples))
+            epoch_sum = np.zeros(4)
+            for lo in range(0, len(order), config.batch_size):
+                batch = order[lo:lo + config.batch_size]
+                opt.zero_grad()
+                for idx in batch:
+                    parts = example_losses(model, train_examples[idx], config.weights)
+                    values = _component_values(parts)
+                    if not np.all(np.isfinite(values)):
+                        raise NonFiniteLoss(
+                            f"epoch {epoch}, example {idx}: components {values}")
+                    ad.backward(ad.mul(parts[0], 1.0 / len(batch)))
+                    epoch_sum += values
+                for name, p in named:
+                    if p.grad is not None and not np.isfinite(p.grad).all():
+                        raise NonFiniteLoss(f"epoch {epoch}: gradient of {name} is not finite")
+                opt.step()
+            rows.append((epoch, "train", *(epoch_sum / len(order))))
 
-        if checkpoint_path and config.checkpoint_every \
-                and epoch % config.checkpoint_every == 0:
-            save_checkpoint(
-                checkpoint_from_state(model, opt, epoch, shuffle_rng),
-                checkpoint_path)
+            if val_examples:
+                val_sum = np.zeros(4)
+                subset = val_examples[:VAL_LIMIT]
+                with no_grad():
+                    for ex in subset:
+                        val_sum += _component_values(
+                            example_losses(model, ex, config.weights))
+                rows.append((epoch, "val", *(val_sum / len(subset))))
 
-    final = checkpoint_from_state(model, opt, config.epochs, shuffle_rng)
+            if checkpoint_path and config.checkpoint_every \
+                    and epoch % config.checkpoint_every == 0:
+                save_checkpoint(
+                    checkpoint_from_state(model, opt, epoch, shuffle_rng),
+                    checkpoint_path)
+
+        final = checkpoint_from_state(model, opt, config.epochs, shuffle_rng)
+    for _, p in named:
+        p.data = p.data.astype(np.float64)
     if checkpoint_path:
         save_checkpoint(final, checkpoint_path)
     if log_path:

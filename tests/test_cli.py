@@ -3,6 +3,7 @@ import pytest
 
 from dereverb import cli, corpus, dsp, models, nn, trainer
 from conftest import make_dry_clip, make_rir_clip
+from test_trainer import poison_a_gradient
 
 
 @pytest.fixture
@@ -192,6 +193,19 @@ def test_train_on_malformed_cache_or_manifest_exits_2(pipeline_corpus, tmp_path)
     manifest = cache / "manifest.jsonl"
     manifest.write_bytes(manifest.read_bytes().replace(b"utt0", b"utt\xff", 1))
     assert run(train) == 2
+
+
+def test_non_finite_gradient_exits_3(pipeline_corpus, tmp_path, monkeypatch, capsys):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    cache = tmp_path / "cache"
+    assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--out-dir", str(cache)]) == 0
+    name = poison_a_gradient(monkeypatch, lambda params: params[0])
+    assert run(["train", "--manifest", str(cache / "manifest.jsonl"), "--model", "rir",
+                "--epochs", "1", "--out", str(tmp_path / "model.ckpt")]) == 3
+    assert f"gradient of {name()} is not finite" in capsys.readouterr().err
+    assert not (tmp_path / "model.ckpt").exists()
 
 
 def full_pipeline(pc, root, seed):

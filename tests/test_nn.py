@@ -365,6 +365,25 @@ def test_bigru_layer_rejects_bad_input(shape, d_bwd):
         nn.bigru_layer(np.zeros(shape), fwd, bwd)
 
 
+def test_float32_gru_saturates_without_floating_point_errors():
+    # pre-activations of +-200: exp(200) overflows float32, the sigmoid is exact
+    with ad.precision(np.float32):
+        fwd, bwd = nn.GruParams(2, 3), nn.GruParams(2, 3)
+        for p in (fwd, bwd):
+            p.wz.data[:] = p.wr.data[:] = p.wh.data[:] = [[100.0, 0, 0], [0, 100.0, 0]]
+            p.bz.data[:] = p.br.data[:] = p.bh.data[:] = [0, 0, -200.0]
+        x = np.array([[2.0, -2.0], [-2.0, 2.0], [2.0, 2.0]])
+        with np.errstate(all="raise"):
+            seq = ad.Tensor(x)
+            out = nn.bigru_layer(seq, fwd, bwd)
+            ad.backward(total(out))
+            cell = nn.gru_cell(x[0], np.zeros(3), fwd)
+    assert out.data.dtype == cell.data.dtype == np.float32
+    assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(cell.data))
+    assert np.all(np.isfinite(seq.grad))
+    assert all(np.all(np.isfinite(t.grad)) for t in fwd.tensors() + bwd.tensors())
+
+
 # --- the fused scan against the per-frame graph it replaced ----------------
 
 def gru_cell_by_step(x_t, h_prev, p):

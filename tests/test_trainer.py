@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import json
 import struct
@@ -8,7 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dereverb import autodiff as ad
-from dereverb import models, trainer
+from dereverb import evaluation, models, nn, trainer
 from dereverb.errors import (
     DereverbError,
     KindMismatch,
@@ -72,6 +73,65 @@ def test_only_parameters_get_gradients(kind):
     assert with_grad == {id(p) for _, p in model.params()}
 
 
+def record_dtypes(monkeypatch):
+    """The set of dtypes of every array passed to `_node` or `accumulate` and
+    of every gradient passed to a backward rule, from now on."""
+    seen = set()
+    real_node, real_accumulate = ad._node, ad.accumulate
+
+    def node(data, parents, bwd):
+        seen.add(np.asarray(data).dtype)
+
+        def recorded(g):
+            seen.add(g.dtype)
+            bwd(g)
+        return real_node(data, parents, recorded)
+
+    def accumulate(t, g):
+        seen.add(np.asarray(g).dtype)
+        real_accumulate(t, g)
+
+    for module in (ad, nn):   # nn imports both by name
+        monkeypatch.setattr(module, "_node", node)
+        monkeypatch.setattr(module, "accumulate", accumulate)
+    return seen
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+@pytest.mark.parametrize("dtype", [np.float32, None], ids=["float32", "default"])
+def test_a_training_step_computes_in_one_precision(monkeypatch, kind, dtype):
+    seen = record_dtypes(monkeypatch)
+    with ad.precision(dtype) if dtype else contextlib.nullcontext():
+        model, _, _ = one_step(kind, wrap_input=False)
+        opt = nn.Adam([p for _, p in model.params()])
+        opt.step()
+    want = np.dtype(dtype or np.float64)
+    assert seen == {want}
+    assert {p.data.dtype for _, p in model.params()} == {want}
+    assert {a.dtype for a in opt.m + opt.v} == {want}
+
+
+def test_train_computes_in_float32_and_returns_float64(monkeypatch, tiny_models):
+    seen = record_dtypes(monkeypatch)
+    model, _, final = trainer.train(tiny_config(epochs=2), tiny_examples(2),
+                                    tiny_examples(1, seed=9))
+    assert seen == {np.dtype(np.float32)}
+    assert {p.data.dtype for _, p in model.params()} == {np.dtype(np.float64)}
+    assert {a.dtype.char for name, a in final.tensors.items()
+            if not name.startswith("p.")} == {"d"}
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_returned_model_scores_as_its_checkpoint(tmp_path, tiny_models, kind):
+    examples, ids = tiny_examples(3), ["a", "b", "c"]
+    path = tmp_path / "m.ckpt"
+    model, _, _ = trainer.train(tiny_config(model=kind, epochs=2), examples,
+                                checkpoint_path=path)
+    restored = trainer.restore_model(trainer.load_checkpoint(path))
+    assert evaluation.evaluate_model(model, examples, ids).rows == \
+        evaluation.evaluate_model(restored, examples, ids).rows
+
+
 def test_training_reduces_loss(tiny_models):
     examples = tiny_examples(1)
     config = tiny_config(epochs=150, batch_size=1)
@@ -107,6 +167,36 @@ def test_non_finite_loss_aborts(tiny_models):
     with pytest.raises(NonFiniteLoss) as err:
         trainer.train(tiny_config(epochs=1), examples)
     assert "example 0" in str(err.value)
+
+
+def poison_a_gradient(monkeypatch, pick):
+    """Make every backward pass leave a NaN in the gradient of the parameter
+    `pick(model.params())` of the model `train` builds, and fail any Adam
+    step; returns that parameter's name once a model is built."""
+    built = []
+    build = models.build_model
+    monkeypatch.setattr(models, "build_model",
+                        lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
+    backward = ad.backward
+
+    def poisoned(loss):
+        backward(loss)
+        pick(built[0].params())[1].grad.flat[0] = np.nan
+
+    def no_step(self):
+        raise AssertionError("Adam stepped on a non-finite gradient")
+
+    monkeypatch.setattr(ad, "backward", poisoned)
+    monkeypatch.setattr(nn.Adam, "step", no_step)
+    return lambda: pick(built[0].params())[0]
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_non_finite_gradient_aborts_before_the_step(monkeypatch, tiny_models, kind):
+    name = poison_a_gradient(monkeypatch, lambda params: params[-3])
+    with pytest.raises(NonFiniteLoss) as err:
+        trainer.train(tiny_config(model=kind, epochs=1), tiny_examples(2))
+    assert str(err.value) == f"epoch 1: gradient of {name()} is not finite"
 
 
 def test_config_validation():
@@ -151,22 +241,29 @@ def test_checkpoint_forward_reproducible(tmp_path, tiny_models):
     np.testing.assert_array_equal(a[0].data, b[0].data)
     np.testing.assert_array_equal(a[1].data, b[1].data)
     live = model.forward(x)
-    assert np.abs(live[0].data - a[0].data).max() < 1e-5  # float32 storage
+    np.testing.assert_array_equal(live[0].data, a[0].data)
+    np.testing.assert_array_equal(live[1].data, a[1].data)
 
 
-def test_resume_matches_uninterrupted_run(tmp_path, tiny_models):
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_resume_matches_uninterrupted_run(tmp_path, tiny_models, kind):
     examples = tiny_examples(3)
-    full = trainer.train(tiny_config(epochs=6), examples)[1]
+    _, full, _ = trainer.train(tiny_config(model=kind, epochs=6), examples,
+                               checkpoint_path=tmp_path / "full.ckpt")
 
-    path = tmp_path / "half.ckpt"
-    trainer.train(tiny_config(epochs=3), examples, checkpoint_path=path)
-    ckpt = trainer.load_checkpoint(path)
-    resumed = trainer.train(tiny_config(epochs=6), examples, start=ckpt)[1]
+    half = tmp_path / "half.ckpt"
+    trainer.train(tiny_config(model=kind, epochs=3), examples, checkpoint_path=half)
+    _, resumed, _ = trainer.train(tiny_config(model=kind, epochs=6), examples,
+                                  start=trainer.load_checkpoint(half),
+                                  checkpoint_path=tmp_path / "resumed.ckpt")
 
-    assert [r[:2] for r in full[3:]] == [r[:2] for r in resumed]
-    for row_full, row_resumed in zip(full[3:], resumed):
-        for a, b in zip(row_full[2:], row_resumed[2:]):
-            assert abs(a - b) <= 1e-6 * max(1.0, abs(a))
+    assert resumed == full[3:]
+    a = trainer.load_checkpoint(tmp_path / "full.ckpt")
+    b = trainer.load_checkpoint(tmp_path / "resumed.ckpt")
+    assert a.tensors.keys() == b.tensors.keys()
+    for name, arr in a.tensors.items():
+        assert np.array_equal(arr, b.tensors[name]), name
+    assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
 
 
 def test_resume_kind_mismatch(tmp_path, tiny_models):
