@@ -281,9 +281,18 @@ def cmd_info(args) -> int:
         return EXIT_USAGE
     config = models.config_to_dict(model.config)
     print(f"config: {config}")
-    if isinstance(config.get("layers"), list):   # a conv stack, not a GRU depth
-        stack = ", ".join(f"({kt}x{kf}, {c})" for kt, kf, c in config["layers"])
-        print(f"conv stack: {stack}")
+    stack = config.get("rir_layers", config.get("layers"))
+    if isinstance(stack, list):   # a conv stack, not a GRU depth
+        print("conv stack: " + ", ".join(f"({kt}x{kf}, {c})" for kt, kf, c in stack))
+        # each layer's input and the path conv2d takes for it
+        names = [n[:-len(".kernel")] for n, _ in model.params() if n.endswith(".kernel")]
+        frames, c_in = config["input_frames"], 1
+        for i, (name, (kt, kf, c_out)) in enumerate(zip(names, stack), 1):
+            path = nn.conv_path((frames, config["bins"], c_in), (kt, kf, c_in, c_out))
+            print(f"  {name}: {frames}x{config['bins']}x{c_in} input, {path}")
+            if i == config.get("trunk_depth"):
+                print(f"  (trunk ends: the dry head reads {name})")
+            frames, c_in = frames - kt + 1, c_out
     total = 0
     for name, p in model.params():
         print(f"  {name}: {tuple(p.data.shape)}")

@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
@@ -80,7 +79,8 @@ class MetricsReport:
         for metric, (mean, std) in self.aggregates().items():
             lines.append(f"__mean__,{metric},{mean:.12g}")
             lines.append(f"__std__,{metric},{std:.12g}")
-        Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with corpus.replacing(path) as fh:
+            fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 def _dry_metrics(report, example_id, est_logmag, example):

@@ -6,6 +6,12 @@ Convolutions follow the cross-correlation convention used by deep-learning
 frameworks (no kernel flip), unlike the true convolutions in :mod:`dsp`.
 All layers operate on single examples: conv inputs are [T, F, C], recurrent
 inputs are [T, D].
+
+:func:`conv2d` has two paths, chosen by :func:`conv_path` from the layer's
+shapes alone: the column core (im2col GEMMs) for any stride and kernel, and a
+spectral path (real FFTs along time) for a stride-(1, 1) kernel one bin wide
+when an operation count says it is cheaper. Both give the same numbers up
+to rounding. :func:`conv2d_transposed` always takes the column core.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
+import scipy.fft as sfft
 
 from .autodiff import Tensor, accumulate, add, as_tensor, backward, matmul, no_grad, _node
 from .errors import ShapeMismatch
@@ -23,12 +30,12 @@ def _same_padding(size, k, s):
     return max((out - 1) * s + k - size, 0)
 
 
-# The three functions below are the whole convolution core: conv2d and
-# conv2d_transposed are each other's adjoint and share them. _correlate and
-# _kernel_grad work on columns (im2col): each output position's receptive
-# field, flattened in kernel order (kT, kF, Cin), is one row of a column
-# matrix, so a block of output rows is one GEMM with kernel.reshape(-1, Cout).
-# The column matrix is built one block at a time, at most _COLUMN_BYTES each
+# The column core: conv2d's general path, and all of conv2d_transposed (the
+# two are each other's adjoint and share it). _correlate and _kernel_grad
+# work on columns (im2col): each output position's receptive field,
+# flattened in kernel order (kT, kF, Cin), is one row of a column matrix, so
+# a block of output rows is one GEMM with kernel.reshape(-1, Cout). The
+# column matrix is built one block at a time, at most _COLUMN_BYTES each
 # (one output row when a row alone is larger), so memory stays flat: whole,
 # it would take 118 MB on a desk joint layer. _correlate_adjoint keeps one
 # GEMM per tap (i, j) over a strided window: its column form has to
@@ -89,6 +96,74 @@ def _kernel_grad(x, g, kernel_shape, stride):
     return gk.reshape(kernel_shape)
 
 
+# The spectral path, for stride (1, 1) and kF = 1: along time, the output is
+# irfft(rfft(x) * conj(rfft(k))) for every (bin, Cin, Cout), the channel sum
+# being one complex matmul batched over frequencies. Its cost hardly depends
+# on the kernel length, while the column core's grows with kT * Cin * Cout
+# per output, so the spectral path wins on the long kernels of the RIR stack
+# but loses where one side is thin: one input channel (joint trunk0, whose
+# column GEMM is tiny) or one output row (the 187-frame layer, which would
+# transform 126 output channels to keep one sample).
+#
+# _spectral_is_cheaper compares the two per bin for one forward pass:
+# kT * Cin * Cout multiply-adds per output row against 4 real ones per
+# complex product plus _FFT_COST per n * log2(n) per transformed channel.
+# 3 is about the ratio of the GEMM and FFT rates measured on the desk float32
+# layers; every weight from 0.8 to 5.1 picks the same layers of the desk and
+# paper stacks.
+#
+# The FFT length n is next_fast_len(T), not T: on desk trunk1 (T = 305 =
+# 5 * 61) a 305-point forward was slower than the column core and a
+# 320-point one 1.7 times faster. Any n >= T keeps the circular products
+# exact, since no valid output, kernel lag or adjoint row reaches past T.
+# The backward takes one rfft of the output gradient for both gradients and
+# recomputes rfft(x) rather than keep it on the tape, which held a complex
+# copy of every layer's input until the backward and raised train-joint
+# peak RSS by a tenth. scipy.fft keeps float32 as complex64 and runs one
+# worker.
+
+_FFT_COST = 3.0
+
+
+def _spectral_is_cheaper(t_in, k_t, c_in, c_out):
+    """Whether one forward pass costs fewer operations as spectra, per bin."""
+    n = sfft.next_fast_len(t_in, real=True)
+    columns = (t_in - k_t + 1) * k_t * c_in * c_out
+    spectral = 4 * (n // 2 + 1) * c_in * c_out + _FFT_COST * (c_in + c_out) * n * math.log2(n)
+    return spectral < columns
+
+
+def conv_path(x_shape, kernel_shape, stride=(1, 1)) -> str:
+    """How conv2d correlates a kernel with a (padded) input: "spectral" or "columns"."""
+    k_t, k_f, c_in, c_out = kernel_shape
+    if tuple(stride) == (1, 1) and k_f == 1 and _spectral_is_cheaper(x_shape[0], k_t, c_in, c_out):
+        return "spectral"
+    return "columns"
+
+
+def _spectral_correlate(x, kernel):
+    """:func:`_correlate` at stride (1, 1) and kF = 1, as spectra along time."""
+    n = sfft.next_fast_len(len(x), real=True)
+    k_hat = sfft.rfft(kernel[:, 0], n, axis=0)
+    y = sfft.irfft(sfft.rfft(x, n, axis=0) @ k_hat.conj(), n, axis=0)
+    return y[:len(x) - len(kernel) + 1]
+
+
+def _spectral_grads(x, g, kernel, need_x):
+    """Kernel and input gradients of :func:`_spectral_correlate` for output
+    gradient g; the input gradient is None unless `need_x`."""
+    n = sfft.next_fast_len(len(x), real=True)
+    k_hat = sfft.rfft(kernel[:, 0], n, axis=0)
+    g_hat = sfft.rfft(g, n, axis=0)
+    x_hat = sfft.rfft(x, n, axis=0).transpose(0, 2, 1)
+    gk = sfft.irfft(x_hat @ g_hat.conj(), n, axis=0)[:len(kernel)]
+    del x_hat   # freed before the input gradient's buffers: it set the step's peak
+    gx = None
+    if need_x:
+        gx = sfft.irfft(g_hat @ k_hat.transpose(0, 2, 1), n, axis=0)[:len(x)]
+    return gk.reshape(kernel.shape), gx
+
+
 def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid") -> Tensor:
     """2-D convolution: [T,F,Cin] with kernel [kT,kF,Cin,Cout] -> [T',F',Cout].
 
@@ -116,15 +191,23 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid") -> Tensor:
     if k_t > t_in or k_f > f_in:
         raise ShapeMismatch(f"kernel {k_t}x{k_f} larger than padded input {t_in}x{f_in}")
 
-    out = _correlate(xd, kernel.data, stride)
+    spectral = conv_path(xd.shape, kernel.data.shape, stride) == "spectral"
+    if spectral:
+        out = _spectral_correlate(xd, kernel.data)
+    else:
+        out = _correlate(xd, kernel.data, stride)
     if bias is not None:
         bias = as_tensor(bias)
         out = out + bias.data
 
     def bwd(g):
-        accumulate(kernel, _kernel_grad(xd, g, kernel.data.shape, stride))
-        if x.needs_grad:
-            gx = _correlate_adjoint(g, kernel.data, stride, xd.shape)
+        if spectral:
+            gk, gx = _spectral_grads(xd, g, kernel.data, x.needs_grad)
+        else:
+            gk = _kernel_grad(xd, g, kernel.data.shape, stride)
+            gx = _correlate_adjoint(g, kernel.data, stride, xd.shape) if x.needs_grad else None
+        accumulate(kernel, gk)
+        if gx is not None:
             accumulate(x, gx[t0:t0 + x.data.shape[0], f0:f0 + x.data.shape[1]])
         if bias is not None:
             accumulate(bias, g.sum(axis=(0, 1)))

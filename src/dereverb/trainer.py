@@ -293,7 +293,8 @@ def write_log(rows, path) -> None:
     for epoch, split, total, l_dry, l_rir, l_rec in rows:
         lines.append(f"{epoch},{split},{total:.12g},{l_dry:.12g},"
                      f"{l_rir:.12g},{l_rec:.12g}")
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    with corpus.replacing(path) as fh:
+        fh.write(("\n".join(lines) + "\n").encode("utf-8"))
 
 
 # ---------------------------------------------------------------------------

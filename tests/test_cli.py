@@ -284,13 +284,34 @@ def test_info_paper_rir_prints_stack(capsys):
     out = capsys.readouterr().out
     assert "(9x1, 16), (14x1, 32), (27x1, 64), (27x1, 32), (27x1, 16), " \
            "(28x1, 4), (187x1, 126)" in out
+    assert "  conv0: 313x257x1 input, columns\n  conv1: 305x257x16 input, spectral\n" in out
+    assert "  conv5: 214x257x16 input, spectral\n  conv6: 187x257x4 input, columns\n" in out
     assert "parameters:" in out
+
+
+# the conv layers `info` lists for a fresh desk model, with the path of each
+INFO_CONV_LAYERS = {
+    "rir": ["conv0: 313x257x1 input, columns", "conv1: 305x257x8 input, spectral",
+            "conv2: 292x257x8 input, spectral", "conv3: 266x257x8 input, spectral",
+            "conv4: 240x257x8 input, spectral", "conv5: 214x257x8 input, spectral",
+            "conv6: 187x257x4 input, columns"],
+    "joint": ["trunk0: 313x257x1 input, columns", "trunk1: 305x257x8 input, spectral",
+              "(trunk ends: the dry head reads trunk1)",
+              "rir0: 292x257x8 input, spectral", "rir1: 266x257x8 input, spectral",
+              "rir2: 240x257x8 input, spectral", "rir3: 214x257x8 input, spectral",
+              "rir4: 187x257x4 input, columns"],
+}
 
 
 @pytest.mark.parametrize("kind", models.MODEL_KINDS)
 def test_info_fresh_model_of_each_kind(kind, capsys):
     assert run(["info", "--model", kind]) == 0
-    assert "parameters:" in capsys.readouterr().out
+    out = capsys.readouterr().out
+    assert "parameters:" in out
+    assert ("conv stack: " in out) == (kind in INFO_CONV_LAYERS)
+    listed = [line.strip() for line in out.splitlines()
+              if line.endswith((", columns", ", spectral")) or "trunk ends" in line]
+    assert listed == INFO_CONV_LAYERS.get(kind, [])
 
 
 def test_info_malformed_checkpoint_config_exits_2(tmp_path, capsys):

@@ -6,7 +6,7 @@ import struct
 import numpy as np
 import pytest
 
-from dereverb import corpus, dsp, trainer
+from dereverb import corpus, dsp, evaluation, trainer
 from dereverb.errors import (
     EmptySplit,
     InsufficientData,
@@ -395,8 +395,20 @@ def write_checkpoint(path, variant):
         tensors={"p.w": np.full(3, float(variant))}), path)
 
 
-@pytest.mark.parametrize("write", [write_manifest, write_example, write_checkpoint],
-                         ids=["manifest", "example", "checkpoint"])
+def write_training_log(path, variant):
+    trainer.write_log([(variant, "train", 1.0, 0.5, 0.25, 0.125)], path)
+
+
+def write_metrics_csv(path, variant):
+    report = evaluation.MetricsReport()
+    report.add("x", "lsd_db", variant)
+    report.to_csv(path)
+
+
+@pytest.mark.parametrize("write", [write_manifest, write_example, write_checkpoint,
+                                   write_training_log, write_metrics_csv],
+                         ids=["manifest", "example", "checkpoint", "training-log",
+                              "metrics-csv"])
 def test_failed_write_keeps_previous_file(tmp_path, monkeypatch, write):
     path = tmp_path / "out"
     write(path, 1)

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from dereverb import autodiff as ad
-from dereverb import models, nn
+from dereverb import corpus, models, nn
 from dereverb.corpus import TrainingExample
 from dereverb.errors import WrongFrameCount
 from conftest import total
@@ -326,3 +326,29 @@ def test_build_model_rejects_unknown():
         models.build_model("nope")
     with pytest.raises(ValueError):
         models.build_model("rir", scale="huge")
+
+
+# Which path each conv2d of a forward pass takes at the model's input size:
+# the spectral path for the stride-1 layers between the first (one input
+# channel) and the 187-frame one (one output row); columns for every U-net
+# layer, whose transposed convolutions never consult the selector.
+RIR_STACK_PATHS = ["columns"] + ["spectral"] * 5 + ["columns"]
+
+
+@pytest.mark.parametrize("kind,scale,paths", [
+    ("rir", "desk", RIR_STACK_PATHS), ("rir", "paper", RIR_STACK_PATHS),
+    ("joint", "desk", RIR_STACK_PATHS), ("joint", "paper", RIR_STACK_PATHS),
+    ("dry-unet", "desk", ["columns"] * 4),
+])
+def test_conv_path_of_each_layer(kind, scale, paths, monkeypatch):
+    taken = []
+    select = nn.conv_path
+
+    def recording(*args):
+        taken.append(select(*args))
+        return taken[-1]
+
+    monkeypatch.setattr(nn, "conv_path", recording)
+    with ad.precision(np.float32), ad.no_grad():
+        models.build_model(kind, scale).forward(np.zeros((corpus.INPUT_FRAMES, 257)))
+    assert taken == paths

@@ -232,6 +232,29 @@ COLUMN_CASES = {
 }
 
 
+def padded(x, k_shape, stride, padding):
+    """x as conv2d pads it, and the (time, freq) padding it adds."""
+    if padding == "valid":
+        return x, [0, 0]
+    pads = [nn._same_padding(n, kn, s) for n, kn, s in zip(x.shape, k_shape[:2], stride)]
+    return np.pad(x, [(p // 2, p - p // 2) for p in pads] + [(0, 0)]), pads
+
+
+def assert_conv2d_matches_taps(x, k, b, g, stride, padding):
+    """conv2d's output and its gradients in x, k and b for output gradient g,
+    against the tap loops and nn._correlate_adjoint."""
+    xd, pads = padded(x, k.shape, stride, padding)
+    xt, kt, bt = ad.Tensor(x), ad.Tensor(k), ad.Tensor(b)
+    out = nn.conv2d(xt, kt, bt, stride=stride, padding=padding)
+    ad.backward(total(ad.mul(out, g)))
+    assert_close(out.data, correlate_by_taps(xd, k, stride) + b)
+    assert_close(kt.grad, kernel_grad_by_taps(xd, g, k.shape, stride))
+    gx = nn._correlate_adjoint(g, k, stride, xd.shape)
+    assert_close(xt.grad, gx[pads[0] // 2:pads[0] // 2 + x.shape[0],
+                             pads[1] // 2:pads[1] // 2 + x.shape[1]])
+    assert_close(bt.grad, g.sum(axis=(0, 1)))
+
+
 @pytest.mark.parametrize("rows", [None, 1, 3], ids=["budget", "rows1", "rows3"])
 @pytest.mark.parametrize("case", COLUMN_CASES.values(), ids=COLUMN_CASES.keys())
 def test_column_core_matches_tap_loops(case, rows, monkeypatch):
@@ -241,11 +264,8 @@ def test_column_core_matches_tap_loops(case, rows, monkeypatch):
     x = rng.standard_normal(x_shape)
     k = rng.standard_normal(k_shape)
     b = rng.standard_normal(c_out)
-    if padding == "same":
-        pads = [nn._same_padding(n, kn, s) for n, kn, s in zip(x_shape, (k_t, k_f), stride)]
-        xd = np.pad(x, [(p // 2, p - p // 2) for p in pads] + [(0, 0)])
-    else:
-        pads, xd = [0, 0], x
+    xd, _ = padded(x, k_shape, stride, padding)
+    assert nn.conv_path(xd.shape, k_shape, stride) == "columns"
     out_shape = correlate_by_taps(xd, k, stride).shape
     if rows is not None:   # a budget of exactly `rows` output rows per column block
         monkeypatch.setattr(nn, "_COLUMN_BYTES", rows * out_shape[1] * k[..., 0].size * 8)
@@ -253,16 +273,7 @@ def test_column_core_matches_tap_loops(case, rows, monkeypatch):
 
     assert_close(nn._correlate(xd, k, stride), correlate_by_taps(xd, k, stride))
     assert_close(nn._kernel_grad(xd, g, k_shape, stride), kernel_grad_by_taps(xd, g, k_shape, stride))
-
-    xt, kt, bt = ad.Tensor(x), ad.Tensor(k), ad.Tensor(b)
-    out = nn.conv2d(xt, kt, bt, stride=stride, padding=padding)
-    ad.backward(total(ad.mul(out, g)))
-    assert_close(out.data, correlate_by_taps(xd, k, stride) + b)
-    assert_close(kt.grad, kernel_grad_by_taps(xd, g, k_shape, stride))
-    gx = nn._correlate_adjoint(g, k, stride, xd.shape)
-    assert_close(xt.grad, gx[pads[0] // 2:pads[0] // 2 + x_shape[0],
-                             pads[1] // 2:pads[1] // 2 + x_shape[1]])
-    assert_close(bt.grad, g.sum(axis=(0, 1)))
+    assert_conv2d_matches_taps(x, k, b, g, stride, padding)
 
     # conv2d_transposed takes an input of g's shape
     gt, kt, bt = ad.Tensor(g), ad.Tensor(k), ad.Tensor(rng.standard_normal(c_in))
@@ -275,6 +286,92 @@ def test_column_core_matches_tap_loops(case, rows, monkeypatch):
     assert_close(gt.grad, correlate_by_taps(y, k, stride))
     assert_close(kt.grad, kernel_grad_by_taps(y, g, k_shape, stride))
     assert_close(bt.grad, y.sum(axis=(0, 1)))
+
+
+# --- the spectral path ---------------------------------------------------
+
+def force_spectral(monkeypatch):
+    monkeypatch.setattr(nn, "_spectral_is_cheaper", lambda *shape: True)
+
+
+# (input [T,F,Cin], kernel [kT,1,Cin,Cout], padding, forced): small shapes force
+# the spectral path; the desk joint trunk1 and rir3 shapes take it on their own.
+SPECTRAL_CASES = {
+    "small": ((12, 5, 3), (4, 1, 3, 2), "valid", True),
+    "prime-frames": ((13, 3, 2), (5, 1, 2, 3), "valid", True),
+    "one-row": ((9, 4, 2), (9, 1, 2, 3), "valid", True),
+    "kt1": ((7, 3, 2), (1, 1, 2, 2), "valid", True),
+    "cin1": ((20, 3, 1), (3, 1, 1, 4), "valid", True),
+    "same": ((11, 4, 2), (4, 1, 2, 3), "same", True),
+    "desk-trunk1": ((305, 257, 8), (14, 1, 8, 8), "valid", False),
+    "desk-rir3": ((214, 257, 8), (28, 1, 8, 4), "valid", False),
+}
+
+
+@pytest.mark.parametrize("case", SPECTRAL_CASES.values(), ids=SPECTRAL_CASES.keys())
+def test_spectral_path_matches_tap_loops(case, monkeypatch):
+    x_shape, k_shape, padding, forced = case
+    if forced:
+        force_spectral(monkeypatch)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal(x_shape)
+    k = rng.standard_normal(k_shape)
+    b = rng.standard_normal(k_shape[3])
+    xd, _ = padded(x, k_shape, (1, 1), padding)
+    assert nn.conv_path(xd.shape, k_shape) == "spectral"
+    g = rng.standard_normal(correlate_by_taps(xd, k, (1, 1)).shape)
+    assert_conv2d_matches_taps(x, k, b, g, (1, 1), padding)
+
+
+@pytest.mark.parametrize("padding", ["valid", "same"])
+def test_spectral_conv2d_gradients_match_fd(padding, monkeypatch):
+    force_spectral(monkeypatch)
+    rng = np.random.default_rng(13)
+    x = ad.Tensor(rng.standard_normal((9, 3, 2)))
+    k = ad.Tensor(rng.standard_normal((4, 1, 2, 3)))
+    b = ad.Tensor(rng.standard_normal(3))
+    target = rng.standard_normal((6 if padding == "valid" else 9, 3, 3))
+    loss_fn = lambda: ad.mse(nn.conv2d(x, k, b, padding=padding), target)
+    assert nn.grad_check(loss_fn, [x, k, b]) < 1e-5
+
+
+def test_spectral_conv2d_of_a_constant_skips_the_input_adjoint(monkeypatch):
+    force_spectral(monkeypatch)
+    input_grads = []
+    grads = nn._spectral_grads
+
+    def recording(*args):
+        result = grads(*args)
+        input_grads.append(result[1])
+        return result
+
+    monkeypatch.setattr(nn, "_spectral_grads", recording)
+    rng = np.random.default_rng(14)
+    x = rng.standard_normal((12, 5, 3))
+    kernel, bias = rng.standard_normal((4, 1, 3, 2)), rng.standard_normal(2)
+    g = rng.standard_normal((9, 5, 2))
+
+    def kernel_grad(inp):
+        k = ad.Tensor(kernel)
+        ad.backward(total(ad.mul(nn.conv2d(inp, k, ad.Tensor(bias)), g)))
+        return k.grad
+
+    as_constant = kernel_grad(x)
+    as_leaf = kernel_grad(ad.Tensor(x))
+    assert input_grads[0] is None and input_grads[1].shape == x.shape
+    np.testing.assert_array_equal(as_constant, as_leaf)
+
+
+def test_spectral_conv2d_computes_in_float32(monkeypatch):
+    force_spectral(monkeypatch)
+    rng = np.random.default_rng(15)
+    with ad.precision(np.float32):
+        x = ad.Tensor(rng.standard_normal((12, 5, 3)))
+        k = ad.Tensor(rng.standard_normal((4, 1, 3, 2)))
+        b = ad.Tensor(rng.standard_normal(2))
+        out = nn.conv2d(x, k, b)
+        ad.backward(total(ad.mul(out, rng.standard_normal(out.data.shape))))
+    assert [t.dtype for t in (out.data, x.grad, k.grad, b.grad)] == [np.float32] * 4
 
 
 # --- GRU -----------------------------------------------------------------
