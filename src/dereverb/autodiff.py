@@ -192,22 +192,22 @@ def mse(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0
+    out = np.where(a.data > 0, a.data, 0.0)
 
     def bwd(g):
-        accumulate(a, g * mask)
+        accumulate(a, g * (out > 0))
 
-    return _node(np.where(mask, a.data, 0.0), (a,), bwd)
+    return _node(out, (a,), bwd)
 
 
 def elu(a) -> Tensor:
     """x for x > 0, exp(x) - 1 otherwise (alpha 1)."""
     a = as_tensor(a)
-    neg = np.exp(np.minimum(a.data, 0.0)) - 1.0
-    out = np.where(a.data > 0, a.data, neg)
+    out = np.where(a.data > 0, a.data, np.exp(np.minimum(a.data, 0.0)) - 1.0)
 
     def bwd(g):
-        accumulate(a, g * np.where(a.data > 0, 1.0, neg + 1.0))
+        # the derivative from the output: 1 where out > 0, exp(x) = out + 1 elsewhere
+        accumulate(a, g * (np.minimum(out, 0) + 1))
 
     return _node(out, (a,), bwd)
 

@@ -117,7 +117,7 @@ class ResidualBiGru:
     The input projection lifts each frame to twice the hidden width so the
     concatenated directions can be added back residually; a final projection
     maps to `d_out`. Parameters are drawn and listed in the order
-    `{prefix}in.*`, `{prefix}gru{i}.{fwd,bwd}.*`, `{prefix}out.*`.
+    `{prefix}in.*`, `{prefix}gru{i}.{fwd,bwd}.{w,u,b}`, `{prefix}out.*`.
     """
 
     def __init__(self, rng, d_in, hidden, layers, d_out, prefix=""):
@@ -131,8 +131,8 @@ class ResidualBiGru:
             pair = (nn.GruParams(width, hidden, rng), nn.GruParams(width, hidden, rng))
             self.grus.append(pair)
             for direction, p in zip(("fwd", "bwd"), pair):
-                self.params += [(f"{prefix}gru{i}.{direction}.{name}", getattr(p, name))
-                                for name in nn.GruParams.FIELDS]
+                name = f"{prefix}gru{i}.{direction}."
+                self.params += [(name + "w", p.w), (name + "u", p.u), (name + "b", p.b)]
         self.params += [
             (f"{prefix}out.weight", Tensor(nn.glorot_uniform(rng, (width, d_out)))),
             (f"{prefix}out.bias", Tensor(np.zeros(d_out))),
@@ -340,10 +340,10 @@ def reconstruct_reverb(rir_mag_est, dry_mag) -> Tensor:
         raise ShapeMismatch(
             f"rir {rir_mag_est.data.shape} vs dry {dry_mag.data.shape}")
     rir = rir_mag_est.data
-    windows = _causal_windows(dry_mag.data, len(rir))
-    out = np.einsum("tfw,wf->tf", windows, rir[::-1])
+    out = _frame_convolve(rir, dry_mag.data)
 
     def bwd(g):
+        windows = _causal_windows(dry_mag.data, len(rir))
         ad.accumulate(rir_mag_est, np.einsum("tfw,tf->wf", windows, g)[::-1])
         if dry_mag.needs_grad:
             # the adjoint in dry is the same convolution run backwards in time

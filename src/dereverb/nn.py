@@ -256,40 +256,28 @@ def linear(x, weight, bias=None) -> Tensor:
 
 
 class GruParams:
-    """Weights for one GRU direction.
+    """Weights for one GRU direction, the three gates side by side.
 
-    Gate order: update (z), reset (r), candidate (h). Input weights `w*` are
-    [Din, Dh], recurrent weights `u*` are [Dh, Dh], biases are [Dh].
+    Input weights `w` are [Din, 3Dh], recurrent weights `u` are [Dh, 3Dh] and
+    biases `b` are [3Dh]. Each holds the gates' columns in the order update
+    (z), reset (r), candidate (h): columns [:Dh] feed z, [Dh:2Dh] r and
+    [2Dh:] h. Random weights are drawn gate by gate (Glorot input weights,
+    an orthogonal recurrent matrix, zero biases) and joined once here.
     """
-
-    FIELDS = ("wz", "uz", "bz", "wr", "ur", "br", "wh", "uh", "bh")
 
     def __init__(self, d_in, d_hidden, rng=None):
         self.d_in = d_in
         self.d_hidden = d_hidden
         if rng is None:
-            weights = {f: np.zeros(self._shape(f)) for f in self.FIELDS}
+            w, u = np.zeros((d_in, 3 * d_hidden)), np.zeros((d_hidden, 3 * d_hidden))
         else:
-            weights = {}
-            for f in self.FIELDS:
-                if f.startswith("w"):
-                    weights[f] = glorot_uniform(rng, (d_in, d_hidden))
-                elif f.startswith("u"):
-                    weights[f] = orthogonal(rng, d_hidden)
-                else:
-                    weights[f] = np.zeros(d_hidden)
-        for f in self.FIELDS:
-            setattr(self, f, Tensor(weights[f]))
-
-    def _shape(self, f):
-        if f.startswith("w"):
-            return (self.d_in, self.d_hidden)
-        if f.startswith("u"):
-            return (self.d_hidden, self.d_hidden)
-        return (self.d_hidden,)
+            gates = [(glorot_uniform(rng, (d_in, d_hidden)), orthogonal(rng, d_hidden))
+                     for _ in "zrh"]
+            w, u = map(np.hstack, zip(*gates))
+        self.w, self.u, self.b = Tensor(w), Tensor(u), Tensor(np.zeros(3 * d_hidden))
 
     def tensors(self):
-        return [getattr(self, f) for f in self.FIELDS]
+        return [self.w, self.u, self.b]
 
 
 def _sigmoid(a):
@@ -301,16 +289,14 @@ def _gru_scan(x, h0, p: GruParams, reverse):
 
     Returns the states [T, Dh] (row t is the state after frame t) and the
     tape :func:`_gru_scan_backward` needs. The input projections of all
-    frames are one GEMM; each step adds only h Uz|Ur and (r*h) Uh. The
-    weights are cast once to the scan's dtype, that of x and the weights.
+    frames are one GEMM with the fused `w`; each step adds only h times the
+    z and r columns of `u`, and (r*h) times its h columns. The scan computes
+    in the dtype of x and the weights.
     """
     steps, n = len(x), p.d_hidden
-    dtype = np.result_type(x, p.wz.data)
-    w = np.concatenate([p.wz.data, p.wr.data, p.wh.data], axis=1, dtype=dtype)
-    u_zr = np.concatenate([p.uz.data, p.ur.data], axis=1, dtype=dtype)
-    u_h = p.uh.data.astype(dtype, copy=False)
-    a = x @ w + np.concatenate([p.bz.data, p.br.data, p.bh.data], dtype=dtype)
-    z, r, c, h_prev, out = (np.empty((steps, n), dtype) for _ in range(5))
+    u_zr, u_h = p.u.data[:, :2 * n], p.u.data[:, 2 * n:]
+    a = x @ p.w.data + p.b.data
+    z, r, c, h_prev, out = (np.empty((steps, n), a.dtype) for _ in range(5))
     h = h0
     # In float32 exp(-a) overflows to inf for a < -88.7 and underflows for
     # a > 87.3; 1 / (1 + inf) = 0 and 1 / (1 + tiny) = 1 are then the sigmoid
@@ -322,19 +308,24 @@ def _gru_scan(x, h0, p: GruParams, reverse):
             z[t], r[t] = zr[:n], zr[n:]
             c[t] = np.tanh(a[t, 2 * n:] + (r[t] * h) @ u_h)
             h = out[t] = (1.0 - z[t]) * h + z[t] * c[t]
-    return out, (x, w, u_zr, u_h, z, r, c, h_prev)
+    return out, (x, z, r, c, h_prev)
 
 
 def _gru_scan_backward(g, p: GruParams, tape, reverse):
     """Backward of :func:`_gru_scan` for output gradient g [T, Dh].
 
     Walks the steps in the opposite order into the pre-activation gradient
-    [T, 3Dh], then forms the weight gradients as whole-sequence GEMMs and
-    accumulates them into `p`. Returns the input gradient [T, Din] and the
-    gradient of the initial state h0.
+    [T, 3Dh], then forms the gradients of `w`, `u` and `b` as whole-sequence
+    GEMMs and accumulates them into `p`. Returns the input gradient [T, Din]
+    and the gradient of the initial state h0.
     """
-    x, w, u_zr, u_h, z, r, c, h_prev = tape
+    x, z, r, c, h_prev = tape
     n = p.d_hidden
+    # Contiguous copies, not views: OpenBLAS's float32 transposed gemv sums
+    # in another order over a column block of a wider matrix (seen for
+    # Dh <= 8), and the gate blocks must give a standalone matrix's products.
+    u_zr = np.ascontiguousarray(p.u.data[:, :2 * n])
+    u_h = np.ascontiguousarray(p.u.data[:, 2 * n:])
     k_z = (c - h_prev) * z * (1.0 - z)   # d h'/d a_z
     k_r = h_prev * r * (1.0 - r)         # d (r*h)/d a_r
     k_c = z * (1.0 - c * c)              # d h'/d a_c
@@ -347,13 +338,10 @@ def _gru_scan_backward(g, p: GruParams, tape, reverse):
         da[t, :n] = gt * k_z[t]
         da[t, n:2 * n] = grh * k_r[t]
         dh = gt * (1.0 - z[t]) + grh * r[t] + da[t, :2 * n] @ u_zr.T
-    dw, db = np.split(x.T @ da, 3, axis=1), np.split(da.sum(axis=0), 3)
-    du = [*np.split(h_prev.T @ da[:, :2 * n], 2, axis=1), (r * h_prev).T @ da[:, 2 * n:]]
-    for i, gate in enumerate("zrh"):
-        accumulate(getattr(p, "w" + gate), dw[i])
-        accumulate(getattr(p, "u" + gate), du[i])
-        accumulate(getattr(p, "b" + gate), db[i])
-    return da @ w.T, dh
+    accumulate(p.w, x.T @ da)
+    accumulate(p.u, np.hstack([h_prev.T @ da[:, :2 * n], (r * h_prev).T @ da[:, 2 * n:]]))
+    accumulate(p.b, da.sum(axis=0))
+    return da @ p.w.data.T, dh
 
 
 def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
@@ -364,6 +352,7 @@ def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
         c = tanh(x Wh + (r*h) Uh + bh)
         h' = (1 - z) * h + z * c
 
+    where Wz, Uz and bz are the z columns of `w`, `u` and `b`, and so on.
     Gradients flow to x_t, h_prev and every parameter.
     """
     x_t, h_prev = as_tensor(x_t), as_tensor(h_prev)

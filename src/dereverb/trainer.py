@@ -10,8 +10,8 @@ one thread (OPENBLAS_NUM_THREADS=1; more threads may change GEMM summation
 order and so the bytes): initialization and epoch shuffles draw from named
 streams of the master seed, batches accumulate gradients in a fixed order,
 and the log records every loss component per epoch. Checkpoints capture
-parameters (float32), Adam state (float64, exact for float32 moments), and
-the shuffle RNG, so a resumed run continues the same trajectory exactly.
+parameters and Adam moments, all float32 as training holds them, and the
+shuffle RNG, so a resumed run continues the same trajectory exactly.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from .nn import Adam
 from .seeding import rng_for
 
 CKPT_MAGIC = b"DRVB"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
 VAL_LIMIT = 32  # validation examples scored per epoch
 ADAM_STATE = ("t", "lr", "beta1", "beta2", "eps")  # optimizer attributes a checkpoint keeps
 
@@ -62,8 +62,12 @@ class TrainConfig:
             raise ValueError("epochs must be at least 1")
         if self.batch_size < 1:
             raise ValueError("batch size must be at least 1")
-        if self.lr < 0:
-            raise ValueError("learning rate must not be negative")
+        if not (math.isfinite(self.lr) and self.lr >= 0):
+            raise ValueError("learning rate must be finite and not negative")
+        if not all(math.isfinite(w) for w in self.weights):
+            raise ValueError("loss weights must be finite")
+        if self.checkpoint_every < 0:
+            raise ValueError("checkpoint interval must not be negative")
 
 
 @dataclass
@@ -81,10 +85,10 @@ class Checkpoint:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Binary layout: magic, version, u64 JSON length, JSON metadata, then
-    the raw little-endian tensor data in metadata order."""
-    entries = [{"name": name, "shape": list(ckpt.tensors[name].shape),
-                "dtype": "f4" if name.startswith("p.") else "f8"}
+    """Binary layout: magic, version, u64 JSON length, JSON metadata (each
+    tensor's name and shape, sorted by name), then every tensor's data as
+    little-endian float32 in metadata order."""
+    entries = [{"name": name, "shape": list(ckpt.tensors[name].shape)}
                for name in sorted(ckpt.tensors)]
     meta = json.dumps({
         "kind": ckpt.kind, "config": ckpt.config, "epoch": ckpt.epoch,
@@ -94,8 +98,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         fh.write(struct.pack("<4sIQ", CKPT_MAGIC, CKPT_VERSION, len(meta)))
         fh.write(meta)
         for e in entries:
-            arr = np.ascontiguousarray(ckpt.tensors[e["name"]], dtype="<" + e["dtype"])
-            fh.write(arr.tobytes())
+            fh.write(np.ascontiguousarray(ckpt.tensors[e["name"]], dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -105,11 +108,11 @@ def load_checkpoint(path) -> Checkpoint:
     magic, version, meta_len = struct.unpack_from("<4sIQ", raw, 0)
     if magic != CKPT_MAGIC:
         raise ParseError(f"{path}: bad magic {magic!r}")
-    if version != CKPT_VERSION:
-        raise VersionMismatch(f"{path}: checkpoint version {version}")
-    if raw[16:17] not in (b"", b"{"):   # an example cache file shares magic and version
+    if raw[16:17] not in (b"", b"{"):   # an example cache file shares the magic
         raise ParseError(f"{path}: not a checkpoint (no JSON metadata after the header; "
                          "an example cache file?)")
+    if version != CKPT_VERSION:
+        raise VersionMismatch(f"{path}: checkpoint version {version}")
     if len(raw) < 16 + meta_len:
         raise ParseError(f"{path}: truncated metadata")
     try:
@@ -123,18 +126,17 @@ def load_checkpoint(path) -> Checkpoint:
     tensors = {}
     offset = 16 + meta_len
     for entry in meta["tensors"]:
-        require_keys(entry, ("name", "shape", "dtype"), f"{path}: tensor entry")
-        name, shape, dtype = entry["name"], entry["shape"], entry["dtype"]
-        if not (isinstance(name, str) and dtype in ("f4", "f8") and isinstance(shape, list)
+        require_keys(entry, ("name", "shape"), f"{path}: tensor entry")
+        name, shape = entry["name"], entry["shape"]
+        if not (isinstance(name, str) and isinstance(shape, list)
                 and all(type(n) is int and n >= 0 for n in shape)):
             raise ParseError(f"{path}: bad tensor entry {entry}")
         count = math.prod(shape)
-        width = 4 if dtype == "f4" else 8
-        if offset + count * width > len(raw):
+        if offset + 4 * count > len(raw):
             raise ParseError(f"{path}: truncated tensor {name}")
-        arr = np.frombuffer(raw, dtype="<" + dtype, count=count, offset=offset)
+        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
         tensors[name] = arr.reshape(shape).copy()
-        offset += count * width
+        offset += 4 * count
     return Checkpoint(**{**meta, "tensors": tensors})
 
 
@@ -142,8 +144,8 @@ def checkpoint_from_state(model, opt: Adam, epoch: int, shuffle_rng) -> Checkpoi
     tensors = {}
     for (name, p), m, v in zip(model.params(), opt.m, opt.v):
         tensors["p." + name] = p.data.astype(np.float32)
-        tensors["m." + name] = m.astype(np.float64)
-        tensors["v." + name] = v.astype(np.float64)
+        tensors["m." + name] = m.astype(np.float32)
+        tensors["v." + name] = v.astype(np.float32)
     return Checkpoint(
         kind=model.kind, config=models.config_to_dict(model.config), epoch=epoch,
         adam={key: getattr(opt, key) for key in ADAM_STATE},

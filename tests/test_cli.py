@@ -260,6 +260,20 @@ def test_train_epochs_zero_rejected(pipeline_corpus, tmp_path):
     assert code == 64
 
 
+def test_train_rejects_non_finite_or_negative_settings(pipeline_corpus, tmp_path):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path, seed=9)) == 0
+    cache = tmp_path / "cache"
+    assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--rirs-per-dry", "1", "--seed", "9",
+                "--out-dir", str(cache)]) == 0
+    for flags in (["--weights", "nan,1,1"], ["--lr", "inf"], ["--checkpoint-every", "-1"]):
+        out = tmp_path / "model.ckpt"
+        assert run(["train", "--manifest", str(cache / "manifest.jsonl"), "--model", "joint",
+                    "--out", str(out), *flags]) == 64
+        assert not out.exists()
+
+
 def test_train_weights_semantics(pipeline_corpus, tmp_path):
     root = tmp_path / "run"
     root.mkdir()
@@ -331,9 +345,22 @@ def test_info_malformed_checkpoint_tensor_entry_exits_2(tmp_path, capsys):
     ckpt = trainer.checkpoint_from_state(model, opt, 1, np.random.default_rng(0))
     path = tmp_path / "m.ckpt"
     trainer.save_checkpoint(ckpt, path)
-    rewrite_metadata(path, lambda meta: meta["tensors"][0].update(dtype="x"))
+    rewrite_metadata(path, lambda meta: meta["tensors"][0].update(shape=[-1]))
     assert run(["info", "--ckpt", str(path)]) == 2
     assert "bad tensor entry" in capsys.readouterr().err
+
+
+def test_info_version_1_checkpoint_exits_2(tmp_path, capsys):
+    model = models.build_tiny_model("rir", np.random.default_rng(0))
+    opt = nn.Adam([p for _, p in model.params()])
+    path = tmp_path / "m.ckpt"
+    trainer.save_checkpoint(trainer.checkpoint_from_state(model, opt, 1,
+                                                          np.random.default_rng(0)), path)
+    raw = bytearray(path.read_bytes())
+    raw[4:8] = (1).to_bytes(4, "little")
+    path.write_bytes(bytes(raw))
+    assert run(["info", "--ckpt", str(path)]) == 2
+    assert "checkpoint version 1" in capsys.readouterr().err
 
 
 def test_info_cache_file_is_not_a_checkpoint(tmp_path, capsys):

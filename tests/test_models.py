@@ -225,10 +225,10 @@ def test_reconstruct_constant_dry_skips_its_adjoint(frames, monkeypatch):
         return r.grad
 
     as_constant = rir_grad(dry)
-    assert calls == []
+    assert len(calls) == 1   # the forward only
     d = ad.Tensor(dry)
     as_leaf = rir_grad(d)
-    assert len(calls) == 1
+    assert len(calls) == 3   # then the forward and the dry adjoint
     np.testing.assert_array_equal(as_constant, as_leaf)
     want = dry_adjoint_by_windows(rir, g)
     assert np.abs(d.grad - want).max() <= 1e-12 * np.abs(want).max()

@@ -376,6 +376,21 @@ def test_spectral_conv2d_computes_in_float32(monkeypatch):
 
 # --- GRU -----------------------------------------------------------------
 
+def test_gru_params_join_per_gate_draws():
+    # z, r, h in turn draw Glorot input weights then an orthogonal recurrent
+    # matrix; the fused tensors are those draws side by side, biases zero
+    rng = np.random.default_rng(16)
+    w, u = [], []
+    for _ in "zrh":
+        w.append(nn.glorot_uniform(rng, (5, 4)))
+        u.append(nn.orthogonal(rng, 4))
+    p = nn.GruParams(5, 4, np.random.default_rng(16))
+    np.testing.assert_array_equal(p.w.data, np.concatenate(w, axis=1))
+    np.testing.assert_array_equal(p.u.data, np.concatenate(u, axis=1))
+    np.testing.assert_array_equal(p.b.data, np.zeros(12))
+    assert [t.data.shape for t in p.tensors()] == [(5, 12), (4, 12), (12,)]
+
+
 def test_gru_cell_zero_params():
     p = nn.GruParams(4, 3)
     out = nn.gru_cell(ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(3)), p)
@@ -390,8 +405,8 @@ def test_gru_cell_fixed_point():
     atanh = np.arctanh(h)
     # Solve for bias that pins the candidate at h when x = 0 and r*h flows in.
     x = ad.Tensor(np.zeros(2))
-    r = 1.0 / (1.0 + np.exp(-(h @ p.ur.data + p.br.data)))
-    p.bh.data[:] = atanh - (r * h) @ p.uh.data
+    r = 1.0 / (1.0 + np.exp(-(h @ p.u.data[:, 3:6] + p.b.data[3:6])))
+    p.b.data[6:] = atanh - (r * h) @ p.u.data[:, 6:]
     out = nn.gru_cell(x, ad.Tensor(h), p)
     np.testing.assert_allclose(out.data, h, atol=1e-12)
 
@@ -467,8 +482,8 @@ def test_float32_gru_saturates_without_floating_point_errors():
     with ad.precision(np.float32):
         fwd, bwd = nn.GruParams(2, 3), nn.GruParams(2, 3)
         for p in (fwd, bwd):
-            p.wz.data[:] = p.wr.data[:] = p.wh.data[:] = [[100.0, 0, 0], [0, 100.0, 0]]
-            p.bz.data[:] = p.br.data[:] = p.bh.data[:] = [0, 0, -200.0]
+            p.w.data[:] = np.tile([[100.0, 0, 0], [0, 100.0, 0]], 3)
+            p.b.data[:] = np.tile([0, 0, -200.0], 3)
         x = np.array([[2.0, -2.0], [-2.0, 2.0], [2.0, 2.0]])
         with np.errstate(all="raise"):
             seq = ad.Tensor(x)
@@ -484,13 +499,17 @@ def test_float32_gru_saturates_without_floating_point_errors():
 # --- the fused scan against the per-frame graph it replaced ----------------
 
 def gru_cell_by_step(x_t, h_prev, p):
-    """The former nn.gru_cell: one tape node per step, outer-product weight gradients."""
+    """The former nn.gru_cell: one tape node per step, outer-product weight
+    gradients, each gate's weights read as its own column block."""
     x_t, h_prev = ad.as_tensor(x_t), ad.as_tensor(h_prev)
     x, h = x_t.data, h_prev.data
-    z = 1.0 / (1.0 + np.exp(-(x @ p.wz.data + h @ p.uz.data + p.bz.data)))
-    r = 1.0 / (1.0 + np.exp(-(x @ p.wr.data + h @ p.ur.data + p.br.data)))
+    wz, wr, wh = np.split(p.w.data, 3, axis=1)
+    uz, ur, uh = np.split(p.u.data, 3, axis=1)
+    bz, br, bh = np.split(p.b.data, 3)
+    z = 1.0 / (1.0 + np.exp(-(x @ wz + h @ uz + bz)))
+    r = 1.0 / (1.0 + np.exp(-(x @ wr + h @ ur + br)))
     rh = r * h
-    c = np.tanh(x @ p.wh.data + rh @ p.uh.data + p.bh.data)
+    c = np.tanh(x @ wh + rh @ uh + bh)
     out = (1.0 - z) * h + z * c
 
     def bwd(g):
@@ -498,22 +517,18 @@ def gru_cell_by_step(x_t, h_prev, p):
         gc = g * z
         gh = g * (1.0 - z)
         gac = gc * (1.0 - c * c)
-        grh = gac @ p.uh.data.T
+        grh = gac @ uh.T
         gr = grh * h
         gh = gh + grh * r
         gar = gr * r * (1.0 - r)
         gaz = gz * z * (1.0 - z)
-        ad.accumulate(p.bz, gaz)
-        ad.accumulate(p.br, gar)
-        ad.accumulate(p.bh, gac)
-        ad.accumulate(p.wz, np.outer(x, gaz))
-        ad.accumulate(p.wr, np.outer(x, gar))
-        ad.accumulate(p.wh, np.outer(x, gac))
-        ad.accumulate(p.uz, np.outer(h, gaz))
-        ad.accumulate(p.ur, np.outer(h, gar))
-        ad.accumulate(p.uh, np.outer(rh, gac))
-        ad.accumulate(x_t, gaz @ p.wz.data.T + gar @ p.wr.data.T + gac @ p.wh.data.T)
-        ad.accumulate(h_prev, gh + gaz @ p.uz.data.T + gar @ p.ur.data.T)
+        ad.accumulate(p.b, np.concatenate([gaz, gar, gac]))
+        ad.accumulate(p.w, np.concatenate([np.outer(x, gaz), np.outer(x, gar),
+                                           np.outer(x, gac)], axis=1))
+        ad.accumulate(p.u, np.concatenate([np.outer(h, gaz), np.outer(h, gar),
+                                           np.outer(rh, gac)], axis=1))
+        ad.accumulate(x_t, gaz @ wz.T + gar @ wr.T + gac @ wh.T)
+        ad.accumulate(h_prev, gh + gaz @ uz.T + gar @ ur.T)
 
     return ad._node(out, (x_t, h_prev, *p.tensors()), bwd)
 
@@ -555,8 +570,7 @@ def value_and_grads(fn, leaves, g):
 
 def randomize_biases(params, rng):
     for p in params:
-        for f in ("bz", "br", "bh"):
-            getattr(p, f).data[:] = rng.standard_normal(p.d_hidden)
+        p.b.data[:] = rng.standard_normal(3 * p.d_hidden)
 
 
 # (T, D, H, non-zero biases, one GruParams for both directions)
@@ -582,7 +596,7 @@ def test_fused_bigru_matches_per_frame_oracle(case):
     leaves = [seq, *fwd.tensors(), *bwd.tensors()]
     got = value_and_grads(lambda: nn.bigru_layer(seq, fwd, bwd), leaves, g)
     want = value_and_grads(lambda: bigru_by_frames(seq, fwd, bwd), leaves, g)
-    assert len(got) == 20   # output, input gradient, 18 parameter gradients
+    assert len(got) == 8   # output, input gradient, 6 parameter gradients
     for a, b in zip(got, want):
         assert_close(a, b)
 
@@ -596,7 +610,7 @@ def test_fused_gru_cell_matches_per_step_oracle():
     leaves = [x, h, *p.tensors()]
     got = value_and_grads(lambda: nn.gru_cell(x, h, p), leaves, g)
     want = value_and_grads(lambda: gru_cell_by_step(x, h, p), leaves, g)
-    assert len(got) == 12   # output, x and h_prev gradients, 9 parameter gradients
+    assert len(got) == 6   # output, x and h_prev gradients, 3 parameter gradients
     for a, b in zip(got, want):
         assert_close(a, b)
 

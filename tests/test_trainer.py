@@ -118,7 +118,7 @@ def test_train_computes_in_float32_and_returns_float64(monkeypatch, tiny_models)
     assert seen == {np.dtype(np.float32)}
     assert {p.data.dtype for _, p in model.params()} == {np.dtype(np.float64)}
     assert {a.dtype.char for name, a in final.tensors.items()
-            if not name.startswith("p.")} == {"d"}
+            if not name.startswith("p.")} == {"f"}
 
 
 @pytest.mark.parametrize("kind", models.MODEL_KINDS)
@@ -208,6 +208,16 @@ def test_config_validation():
         trainer.TrainConfig(model="rir", lr=-1.0)
     with pytest.raises(ValueError):
         trainer.TrainConfig(model="rir", batch_size=0)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("lr", float("nan")), ("lr", float("inf")),
+    ("weights", (float("nan"), 1.0, 1.0)), ("weights", (1.0, float("inf"), 1.0)),
+    ("checkpoint_every", -1),
+], ids=["lr-nan", "lr-inf", "weights-nan", "weights-inf", "checkpoint-every-negative"])
+def test_config_rejects_non_finite_or_negative_settings(field, value):
+    with pytest.raises(ValueError):
+        trainer.TrainConfig(model="joint", **{field: value})
 
 
 # --- checkpoints -----------------------------------------------------------
@@ -330,10 +340,10 @@ def rewrite_metadata(path, edit):
     lambda meta: meta["adam"].pop("lr"),
     lambda meta: meta["tensors"][0].pop("shape"),
     lambda meta: meta.update(tensors=3),
-    lambda meta: meta["tensors"][0].update(dtype="x"),
+    lambda meta: meta["tensors"][0].update(shape=[-1]),
     lambda meta: meta["tensors"][0].update(shape=["a"]),
 ], ids=["missing-key", "extra-key", "bad-type", "bad-layer", "unknown-kind",
-        "no-adam", "adam-key", "tensor-key", "tensors-not-list", "tensor-dtype",
+        "no-adam", "adam-key", "tensor-key", "tensors-not-list", "tensor-negative-shape",
         "tensor-shape"])
 def test_malformed_checkpoint_metadata_is_a_parse_error(tmp_path, tiny_models, edit):
     path = tmp_path / "m.ckpt"
