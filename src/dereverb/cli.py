@@ -5,7 +5,9 @@ Exit codes: 0 ok, 1 I/O failure, 2 data problem, 3 numeric failure,
 subcommand is bit-reproducible when BLAS runs one thread
 (OPENBLAS_NUM_THREADS=1); with more, GEMM summation order and so training
 bytes may change. train computes in float32; eval, gradcheck and info in
-float64. Only synth takes --threads, its worker count.
+float64. Only synth takes --threads, its worker count (at least 1). synth
+reads and analyses each dry file and each RIR once, however many pairs use
+it, and writes each example as soon as it is mixed.
 """
 
 from __future__ import annotations
@@ -14,6 +16,7 @@ import argparse
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from itertools import groupby
 from pathlib import Path
 
 import numpy as np
@@ -74,7 +77,12 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("synth", formatter_class=fmt,
-                       help="pair dry speech with RIRs and cache training examples")
+                       help="pair dry speech with RIRs and cache training examples",
+                       description="Each dry file and each RIR is read and "
+                                   "analysed once; each example is written as "
+                                   "soon as it is mixed. A failure stops synth "
+                                   "before the manifest is written; examples "
+                                   "already written remain.")
     p.add_argument("--manifest", required=True)
     p.add_argument("--dry-dir", required=True)
     p.add_argument("--rirs-per-dry", type=int, default=2)
@@ -84,7 +92,7 @@ def build_parser() -> _Parser:
     # a string default: argparse converts it only when synth runs
     p.add_argument("--threads", type=int,
                    default=os.environ.get("DEREVERB_THREADS", "1"),
-                   help="worker threads")
+                   help="worker threads, at least 1; one dry file each")
     _add_common(p)
     p.set_defaults(func=cmd_synth)
 
@@ -150,6 +158,8 @@ def cmd_prepare(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    if args.threads < 1:
+        raise ValueError(f"--threads must be at least 1, got {args.threads}")
     manifest = corpus.load_manifest(args.manifest)
     dry_dir = Path(args.dry_dir)
     if not dry_dir.is_dir():
@@ -166,16 +176,24 @@ def cmd_synth(args) -> int:
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    def render(pair):
-        return corpus.synthesize_example(pair, manifest)
+    # memory holds every RIR the pairs use and one dry file per worker
+    rirs = {rir_id: corpus.prepare_rir(manifest.rir_by_id(rir_id))
+            for rir_id in dict.fromkeys(p.rir_id for p in pairs)}
+    # make_pairs emits each dry file's pairs together
+    groups = [list(group) for _, group in groupby(pairs, key=lambda p: p.dry_path)]
+
+    def render(group):
+        dry = corpus.prepare_dry(group[0].dry_path)
+        for pair in group:
+            corpus.save_example(corpus.mix(dry, rirs[pair.rir_id]),
+                                out_dir / corpus.pair_cache_name(pair))
 
     if args.threads > 1:
         with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            examples = list(pool.map(render, pairs))
+            list(pool.map(render, groups))
     else:
-        examples = [render(pair) for pair in pairs]
-    for pair, example in zip(pairs, examples):
-        corpus.save_example(example, out_dir / corpus.pair_cache_name(pair))
+        for group in groups:
+            render(group)
 
     # replace this split's pairings, keep any other split's
     by_id = {r.id: r.split for r in manifest.rirs}

@@ -252,47 +252,79 @@ def make_pairs(dry_paths, manifest: CorpusManifest, rirs_per_dry: int,
     return pairs
 
 
-def synthesize_example(pair: PairRecord, manifest: CorpusManifest) -> TrainingExample:
-    """Render one supervised example from a dry/RIR pairing.
+@dataclass(frozen=True)
+class Source:
+    """A dry recording or an impulse response, ready for every pair that
+    uses it: the resampled signal to convolve, the samples it drops from the
+    head of the reverberant signal (the dry's leading silence, the RIR's
+    direct-path onset), and its target spectrogram with the scale divided
+    out. The target is shared by the pairs' examples, so it is read-only."""
 
-    Both signals are resampled to 16 kHz; the reverberant signal is the full
-    convolution; the dry signal is delayed by the direct-path onset so the
-    two align; leading silence is trimmed from the dry signal and the same
-    offset removed from the reverberant one; both are fixed to 5 s. The RIR
-    is zero-padded to at least 2 s before its spectrogram is taken. Each
-    magnitude is normalized by its own max; the network input and the dry
-    target are log-compressed.
-    """
-    rir_record = manifest.rir_by_id(pair.rir_id)
-    dry = dsp.resample(dsp.read_wav(pair.dry_path), dsp.SAMPLE_RATE)
-    rir = dsp.resample(dsp.read_wav(rir_record.path), dsp.SAMPLE_RATE)
+    signal: dsp.Spectra
+    shift: int
+    target: np.ndarray
+    scale: float
 
+    def __post_init__(self):
+        self.target.setflags(write=False)
+
+
+def _normalized_stft(clip: dsp.AudioClip) -> dsp.MagSpectrogram:
+    return dsp.normalize_spectrogram(dsp.magnitude(dsp.stft(clip)))
+
+
+def prepare_dry(path) -> Source:
+    """Read and resample a dry recording; its target is the log spectrogram
+    of its first 5 s after leading silence. Delaying the dry signal by a
+    RIR's onset, then trimming it, drops that onset plus this same leading
+    silence, so the trim needs no RIR."""
+    dry = dsp.resample(dsp.read_wav(path), dsp.SAMPLE_RATE)
+    trimmed, lead = dsp.trim_leading_silence(dry)
+    if len(trimmed) == 0:
+        raise EmptyAfterTrim(f"{path} is silent")
+    mag = _normalized_stft(dsp.fix_length(trimmed, CLIP_SAMPLES))
+    return Source(dsp.Spectra(dry.samples), lead, dsp.log_magnitude(mag), mag.scale)
+
+
+def prepare_rir(record: RirRecord) -> Source:
+    """Read and resample an impulse response and find its direct-path onset;
+    its target is the first RIR_FRAMES frames of the spectrogram of the
+    response zero-padded to at least 2 s, scaled by that whole spectrogram's
+    max."""
+    rir = dsp.resample(dsp.read_wav(record.path), dsp.SAMPLE_RATE)
     onset = dsp.detect_direct_path_delay(rir)
-    reverb_samples = dsp.convolve_fft(dry.samples, rir.samples)
-    dry_aligned = dsp.delay(dry, onset)
+    padded = rir if len(rir) >= RIR_MIN_SAMPLES else dsp.fix_length(rir, RIR_MIN_SAMPLES)
+    mag = _normalized_stft(padded)
+    return Source(dsp.Spectra(rir.samples), onset, mag.mag[:RIR_FRAMES].copy(), mag.scale)
 
-    dry_trimmed, offset = dsp.trim_leading_silence(dry_aligned)
-    if len(dry_trimmed) == 0:
-        raise EmptyAfterTrim(f"{pair.dry_path} is silent")
-    reverb = dsp.AudioClip(reverb_samples[offset:], dsp.SAMPLE_RATE)
 
-    dry_fixed = dsp.fix_length(dry_trimmed, CLIP_SAMPLES)
-    reverb_fixed = dsp.fix_length(reverb, CLIP_SAMPLES)
-    rir_padded = rir if len(rir) >= RIR_MIN_SAMPLES else dsp.fix_length(rir, RIR_MIN_SAMPLES)
-
-    dry_mag = dsp.normalize_spectrogram(dsp.magnitude(dsp.stft(dry_fixed)))
-    reverb_mag = dsp.normalize_spectrogram(dsp.magnitude(dsp.stft(reverb_fixed)))
-    rir_mag = dsp.normalize_spectrogram(dsp.magnitude(dsp.stft(rir_padded)))
-
+def mix(dry: Source, rir: Source) -> TrainingExample:
+    """The example of one pair: the full convolution, aligned to the dry
+    target and fixed to 5 s; its spectrogram is the reverberant target and,
+    log-compressed, the network input."""
+    reverb = dsp.convolve(dry.signal, rir.signal)[dry.shift + rir.shift:]
+    mag = _normalized_stft(dsp.fix_length(dsp.AudioClip(reverb, dsp.SAMPLE_RATE),
+                                          CLIP_SAMPLES))
     return TrainingExample(
-        input_logmag=dsp.log_magnitude(reverb_mag),
-        dry_target_logmag=dsp.log_magnitude(dry_mag),
-        rir_target_mag=rir_mag.mag[:RIR_FRAMES].copy(),
-        reverb_target_mag=reverb_mag.mag,
-        dry_scale=dry_mag.scale,
-        rir_scale=rir_mag.scale,
-        reverb_scale=reverb_mag.scale,
+        input_logmag=dsp.log_magnitude(mag),
+        dry_target_logmag=dry.target,
+        rir_target_mag=rir.target,
+        reverb_target_mag=mag.mag,
+        dry_scale=dry.scale,
+        rir_scale=rir.scale,
+        reverb_scale=mag.scale,
     )
+
+
+def synthesize_example(pair: PairRecord, manifest: CorpusManifest) -> TrainingExample:
+    """Render one supervised example from a dry/RIR pairing: `mix` of
+    `prepare_dry` and `prepare_rir`, the steps `synth` runs once per pair,
+    dry file and RIR. Both signals are resampled to 16 kHz; the dry signal
+    is aligned to the reverberant one and both are fixed to 5 s; each
+    magnitude is normalized by its own max; the network input and the dry
+    target are log-compressed."""
+    return mix(prepare_dry(pair.dry_path),
+               prepare_rir(manifest.rir_by_id(pair.rir_id)))
 
 
 def pair_cache_name(pair: PairRecord) -> str:

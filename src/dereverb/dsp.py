@@ -1,13 +1,15 @@
 """Audio I/O, resampling, convolution, STFT analysis/synthesis and alignment.
 
-Everything here is a pure function of its inputs: no global state, safe to
-call concurrently. Waveforms travel as float64 arrays in [-1, 1] inside
+No global state: everything here is safe to call concurrently, and all but
+:class:`Spectra` (one operand's FFTs, behind its own lock) is a pure
+function of its inputs. Waveforms travel as float64 arrays in [-1, 1] inside
 :class:`AudioClip`; spectrograms are [frames x bins] arrays.
 """
 
 from __future__ import annotations
 
 import struct
+import threading
 from dataclasses import dataclass
 from math import gcd
 from pathlib import Path
@@ -139,13 +141,13 @@ def read_wav(path) -> AudioClip:
         samples = np.frombuffer(data, dtype="<f4").astype(np.float64)
     if channels < 1 or sample_rate <= 0:
         raise CorruptHeader(f"{path}: bad fmt chunk")
-    if samples.size == 0:
-        raise EmptyAudio(f"{path}: no samples")
     if not np.all(np.isfinite(samples)):
         raise CorruptHeader(f"{path}: data chunk holds non-finite samples")
     if channels > 1:
         samples = samples[: (samples.size // channels) * channels]
         samples = samples.reshape(-1, channels).mean(axis=1)
+    if samples.size == 0:
+        raise EmptyAudio(f"{path}: no samples")
     return AudioClip(samples, sample_rate)
 
 
@@ -213,16 +215,37 @@ def resample(clip: AudioClip, target_rate: int) -> AudioClip:
 # Convolution
 # ---------------------------------------------------------------------------
 
-def convolve_fft(x: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Full linear convolution via a zero-padded FFT (next power of two)."""
-    x = np.asarray(x, dtype=np.float64)
-    h = np.asarray(h, dtype=np.float64)
-    if x.size == 0 or h.size == 0:
-        raise ValueError("convolution operands must be non-empty")
-    out_len = x.size + h.size - 1
+class Spectra:
+    """One convolution operand with its real forward spectrum at each FFT
+    length asked for, computed once and kept; a lock makes that atomic, so
+    threads may share it."""
+
+    def __init__(self, samples: np.ndarray):
+        self.samples = np.asarray(samples, dtype=np.float64)
+        if self.samples.size == 0:
+            raise ValueError("convolution operands must be non-empty")
+        self._by_length = {}
+        self._lock = threading.Lock()
+
+    def at(self, n: int) -> np.ndarray:
+        """rfft of the samples zero-padded to `n`."""
+        with self._lock:
+            if n not in self._by_length:
+                self._by_length[n] = np.fft.rfft(self.samples, n)
+            return self._by_length[n]
+
+
+def convolve(x: Spectra, h: Spectra) -> np.ndarray:
+    """Full linear convolution via a zero-padded FFT (next power of two),
+    reusing each operand's spectrum at that length."""
+    out_len = x.samples.size + h.samples.size - 1
     n = 1 << (out_len - 1).bit_length()
-    y = np.fft.irfft(np.fft.rfft(x, n) * np.fft.rfft(h, n), n)
-    return y[:out_len]
+    return np.fft.irfft(x.at(n) * h.at(n), n)[:out_len]
+
+
+def convolve_fft(x: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Full linear convolution of two arrays; see `convolve`."""
+    return convolve(Spectra(x), Spectra(h))
 
 
 # ---------------------------------------------------------------------------
@@ -343,12 +366,3 @@ def fix_length(clip: AudioClip, target_len: int) -> AudioClip:
     return AudioClip(np.concatenate([clip.samples, np.zeros(target_len - n)]),
                      clip.sample_rate)
 
-
-def delay(clip: AudioClip, samples: int) -> AudioClip:
-    """Prepend `samples` zeros."""
-    if samples < 0:
-        raise ValueError("delay must be non-negative")
-    if samples == 0:
-        return clip
-    return AudioClip(np.concatenate([np.zeros(samples), clip.samples]),
-                     clip.sample_rate)

@@ -1,8 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from dereverb import autodiff as ad
 from dereverb import dsp
+
+# `pytest --hypothesis-profile=ci`: every run draws the same cases and keeps
+# no example database, so a CI failure reproduces from the commit alone
+settings.register_profile("ci", derandomize=True, database=None)
 
 
 def total(t):

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -139,6 +141,70 @@ def test_synth_threads_do_not_change_cache_bytes(pipeline_corpus, tmp_path):
     assert written[0] == written[1]
 
 
+@pytest.mark.parametrize("threads", ["0", "-1", "env0"])
+def test_synth_rejects_threads_below_one(pipeline_corpus, tmp_path, monkeypatch, threads):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    args = ["synth", "--manifest", str(manifest_path), "--dry-dir",
+            str(pipeline_corpus["dry"]), "--out-dir", str(tmp_path / "cache")]
+    if threads == "env0":
+        monkeypatch.setenv("DEREVERB_THREADS", "0")
+    else:
+        args += ["--threads", threads]
+    assert run(args) == 64
+    assert not (tmp_path / "cache").exists()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+def test_synth_prepares_each_source_once(pipeline_corpus, tmp_path, monkeypatch, threads):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    calls = []   # list.append is atomic, so worker threads lose no count
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls.append((name, args[0]))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    np_rfft = np.fft.rfft
+
+    def forward_fft(x, n=None, *args, **kwargs):
+        if np.ndim(x) == 1:   # a convolution operand; STFT frames come 2-D
+            calls.append(("rfft", n))
+        return np_rfft(x, n, *args, **kwargs)
+
+    for name in ("read_wav", "resample", "stft"):
+        monkeypatch.setattr(dsp, name, counted(name, getattr(dsp, name)))
+    monkeypatch.setattr(np.fft, "rfft", forward_fft)
+    out = tmp_path / "cache"
+    assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--rirs-per-dry", "2", "--seed", "1",
+                "--out-dir", str(out), "--threads", threads]) == 0
+    monkeypatch.undo()
+
+    manifest = corpus.load_manifest(out / "manifest.jsonl")
+    dry = {p.dry_path for p in manifest.pairs}
+    rirs = {manifest.rir_by_id(p.rir_id).path for p in manifest.pairs}
+    read = sorted(str(c[1]) for c in calls if c[0] == "read_wav")
+    assert read == sorted(dry | rirs)
+    assert sum(c[0] == "resample" for c in calls) == len(dry) + len(rirs)
+    assert sum(c[0] == "stft" for c in calls) == len(dry) + len(rirs) + len(manifest.pairs)
+    # one forward FFT per operand and FFT length
+    length = {path: len(dsp.read_wav(path)) for path in dry | rirs}
+    operands = set()
+    for p in manifest.pairs:
+        d, r = length[p.dry_path], length[manifest.rir_by_id(p.rir_id).path]
+        n = 1 << (d + r - 2).bit_length()   # next power of two >= d + r - 1
+        operands |= {(p.dry_path, n), (p.rir_id, n)}
+    assert sorted(c[1] for c in calls if c[0] == "rfft") == sorted(n for _, n in operands)
+
+    for pair in manifest.pairs:   # the per-pair oracle
+        oracle = tmp_path / "oracle.drvb"
+        corpus.save_example(corpus.synthesize_example(pair, manifest), oracle)
+        assert (out / corpus.pair_cache_name(pair)).read_bytes() == oracle.read_bytes()
+
+
 def test_synth_empty_split_exits_2(pipeline_corpus, tmp_path):
     manifest_path = tmp_path / "m.jsonl"
     assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
@@ -173,6 +239,24 @@ def test_non_finite_wav_is_skipped_by_prepare_and_stops_synth(pipeline_corpus, t
     code = run(["synth", "--manifest", str(manifest_path), "--dry-dir",
                 str(pipeline_corpus["dry"]), "--out-dir", str(tmp_path / "cache")])
     assert code == 2
+    assert not (tmp_path / "cache" / "manifest.jsonl").exists()
+
+
+def test_bad_rir_stops_synth_before_any_example(pipeline_corpus, tmp_path):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    args = ["synth", "--manifest", str(manifest_path), "--dry-dir",
+            str(pipeline_corpus["dry"]), "--rirs-per-dry", "2", "--seed", "1"]
+    assert run(args + ["--out-dir", str(tmp_path / "good")]) == 0
+    manifest = corpus.load_manifest(tmp_path / "good" / "manifest.jsonl")
+    # a RIR first needed after the first dry file's examples
+    first = {p.rir_id for p in manifest.pairs if p.dry_path == manifest.pairs[0].dry_path}
+    late = [p.rir_id for p in manifest.pairs if p.rir_id not in first]
+    assert late
+    path = Path(manifest.rir_by_id(late[-1]).path)
+    write_with_nan_sample(path, path)
+    assert run(args + ["--out-dir", str(tmp_path / "bad")]) == 2
+    assert list((tmp_path / "bad").iterdir()) == []
 
 
 def test_train_on_malformed_cache_or_manifest_exits_2(pipeline_corpus, tmp_path):

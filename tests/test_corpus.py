@@ -5,9 +5,12 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dereverb import corpus, dsp, evaluation, trainer
 from dereverb.errors import (
+    DereverbError,
     EmptySplit,
     InsufficientData,
     NoFilesFound,
@@ -15,6 +18,7 @@ from dereverb.errors import (
     VersionMismatch,
 )
 from conftest import make_dry_clip, make_rir_clip
+from test_dsp import mostly, u32
 
 
 def fake_records(sizes):
@@ -257,6 +261,46 @@ def test_synthesize_deterministic(tmp_path):
     assert a.reverb_scale == b.reverb_scale
 
 
+def synthesize_by_pair(pair, manifest):
+    """Reference: one example rendered from scratch, the dry signal delayed
+    by the RIR's onset before its leading silence is trimmed."""
+    dry = dsp.resample(dsp.read_wav(pair.dry_path), dsp.SAMPLE_RATE)
+    rir = dsp.resample(dsp.read_wav(manifest.rir_by_id(pair.rir_id).path),
+                       dsp.SAMPLE_RATE)
+    onset = dsp.detect_direct_path_delay(rir)
+    reverb = dsp.convolve_fft(dry.samples, rir.samples)
+    delayed = dsp.AudioClip(np.concatenate([np.zeros(onset), dry.samples]), dsp.SAMPLE_RATE)
+    trimmed, offset = dsp.trim_leading_silence(delayed)
+    reverb = dsp.AudioClip(reverb[offset:], dsp.SAMPLE_RATE)
+    padded = rir if len(rir) >= corpus.RIR_MIN_SAMPLES \
+        else dsp.fix_length(rir, corpus.RIR_MIN_SAMPLES)
+    dry_mag, reverb_mag, rir_mag = (
+        dsp.normalize_spectrogram(dsp.magnitude(dsp.stft(clip))) for clip in (
+            dsp.fix_length(trimmed, corpus.CLIP_SAMPLES),
+            dsp.fix_length(reverb, corpus.CLIP_SAMPLES), padded))
+    return (dsp.log_magnitude(reverb_mag), dsp.log_magnitude(dry_mag),
+            rir_mag.mag[:corpus.RIR_FRAMES], reverb_mag.mag,
+            dry_mag.scale, rir_mag.scale, reverb_mag.scale)
+
+
+@pytest.mark.parametrize("onset, seconds, rate", [(0, 0.6, 16000), (300, 0.6, 16000),
+                                                  (37, 2.5, 16000), (120, 0.5, 44100)],
+                         ids=["no-onset", "onset", "longer-than-2s", "44k1"])
+def test_synthesize_equals_reference_bit_for_bit(tmp_path, onset, seconds, rate):
+    rng = np.random.default_rng(onset)
+    pair, manifest = setup_synth(tmp_path, make_rir_clip(rng, onset=onset,
+                                                         seconds=seconds, rate=rate))
+    dry = dsp.read_wav(pair.dry_path)   # leading silence for the trim to drop
+    dsp.write_wav(pair.dry_path, dsp.AudioClip(np.concatenate([np.zeros(500), dry.samples]),
+                                               dry.sample_rate), format="float32")
+    ex = corpus.synthesize_example(pair, manifest)
+    assert corpus.prepare_dry(pair.dry_path).shift >= 500
+    got = (ex.input_logmag, ex.dry_target_logmag, ex.rir_target_mag,
+           ex.reverb_target_mag, ex.dry_scale, ex.rir_scale, ex.reverb_scale)
+    for a, b in zip(got, synthesize_by_pair(pair, manifest)):
+        np.testing.assert_array_equal(a, b)
+
+
 # --- cache files ---------------------------------------------------------
 
 def test_example_cache_round_trip(tmp_path):
@@ -314,6 +358,40 @@ def test_example_cache_rejects_bad_version(tmp_path):
     path.write_bytes(bytes(raw))
     with pytest.raises(VersionMismatch):
         corpus.load_example(path)
+
+
+@st.composite
+def cache_files(draw):
+    """Example-cache bytes from fuzzed fields: magic, version and the six
+    dimensions mostly as a valid file has them, else anything; a body of
+    the size the header implies, else any length."""
+    magic = draw(mostly(st.just(corpus.CACHE_MAGIC), st.binary(min_size=4, max_size=4)))
+    version = draw(mostly(st.just(corpus.CACHE_VERSION), u32))
+    frames, rir_frames, bins = (draw(st.integers(0, 3)) for _ in range(3))
+    dims = [frames, bins, rir_frames, bins, frames, bins]
+    if draw(st.booleans()):
+        dims[draw(st.integers(0, 5))] = draw(u32)
+    floats = (dims[0] * dims[1] + dims[2] * dims[3] + dims[4] * dims[5] + 3
+              if max(dims) <= 3 else 0)
+    body = draw(st.one_of(
+        st.lists(st.floats(width=32) | st.floats(0, 1, width=32),
+                 min_size=floats, max_size=floats).map(
+            lambda xs: np.array(xs, dtype="<f4").tobytes()),
+        st.binary(max_size=64)))
+    return struct.pack("<4sI6I", magic, version, *dims) + body
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=96) | cache_files())
+def test_any_cache_bytes_load_as_an_example_or_a_dereverb_error(tmp_path, raw):
+    path = tmp_path / "fuzz.drvb"
+    path.write_bytes(raw)
+    try:
+        example = corpus.load_example(path)
+    except DereverbError:
+        return
+    assert example.input_logmag.shape == example.reverb_target_mag.shape
 
 
 # --- manifest persistence -------------------------------------------------

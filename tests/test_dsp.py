@@ -1,10 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from dereverb import dsp
 from dereverb.errors import (
     AllZeroRir,
     CorruptHeader,
+    DereverbError,
     EmptyAudio,
     NonColaParams,
     UnsupportedFormat,
@@ -134,6 +137,81 @@ def test_read_rejects_empty_data(tmp_path):
         dsp.read_wav(path)
 
 
+def test_read_rejects_fewer_samples_than_channels(tmp_path):
+    import struct
+    path = tmp_path / "short.wav"
+    payload = struct.pack("<2h", 1000, -1000)
+    header = struct.pack(
+        "<4sI4s4sIHHIIHH4sI",
+        b"RIFF", 36 + len(payload), b"WAVE",
+        b"fmt ", 16, 1, 3, 16000, 96000, 6, 16,
+        b"data", len(payload))
+    path.write_bytes(header + payload)
+    with pytest.raises(EmptyAudio):
+        dsp.read_wav(path)
+
+
+u16 = st.integers(0, 0xFFFF)
+u32 = st.integers(0, 0xFFFFFFFF)
+
+
+def mostly(usual, anything):
+    """`usual` three times in four, else `anything`."""
+    return st.one_of(usual, usual, usual, anything)
+
+
+@st.composite
+def riff_files(draw):
+    """RIFF/WAVE bytes from fuzzed fields: each fmt value and chunk size
+    mostly one a valid file has, else anything; now and then an unknown
+    chunk, a missing chunk or a cut tail."""
+    import struct
+    audio_format, bits = draw(mostly(st.sampled_from([(1, 16), (3, 32), (0xFFFE, 16)]),
+                                     st.tuples(u16, u16)))
+    channels = draw(mostly(st.integers(1, 3), u16))
+    rate = draw(mostly(st.sampled_from([16000, 44100]), u32))
+    fmt_size = draw(mostly(st.just(16), st.integers(0, 40)))
+    fmt_body = struct.pack("<HHIIHH", audio_format, channels, rate, draw(u32),
+                           draw(u16), bits).ljust(fmt_size, b"\0")[:fmt_size]
+    payload = draw(st.binary(max_size=64))
+    data_size = draw(mostly(st.just(len(payload)), u32))
+    chunks = [b"fmt " + struct.pack("<I", fmt_size) + fmt_body,
+              b"data" + struct.pack("<I", data_size) + payload]
+    change = draw(st.sampled_from(["none"] * 5 + ["extra", "drop", "cut"]))
+    if change == "extra":
+        extra = draw(st.binary(max_size=9))
+        chunks.insert(draw(st.integers(0, 2)),
+                      b"LIST" + struct.pack("<I", len(extra)) + extra)
+    elif change == "drop":
+        chunks.pop(draw(st.integers(0, 1)))
+    body = b"WAVE" + b"".join(chunks)
+    raw = b"RIFF" + struct.pack("<I", draw(mostly(st.just(len(body)), u32))) + body
+    return raw[:draw(st.integers(0, len(raw)))] if change == "cut" else raw
+
+
+def assert_clip_or_dereverb_error(path, raw):
+    path.write_bytes(raw)
+    try:
+        got = dsp.read_wav(path)
+    except DereverbError:
+        return
+    assert len(got) >= 1 and got.sample_rate > 0
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=128))
+def test_any_bytes_read_as_a_clip_or_a_dereverb_error(tmp_path, raw):
+    assert_clip_or_dereverb_error(tmp_path / "fuzz.wav", raw)
+
+
+@settings(max_examples=500, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=riff_files())
+def test_any_riff_header_reads_as_a_clip_or_a_dereverb_error(tmp_path, raw):
+    assert_clip_or_dereverb_error(tmp_path / "fuzz.wav", raw)
+
+
 # --- resampling --------------------------------------------------------
 
 def test_resample_identity():
@@ -202,6 +280,42 @@ def test_convolve_long_lengths_agree():
     a = np.convolve(x, h)
     b = dsp.convolve_fft(x, h)
     assert np.abs(a - b).max() / np.abs(a).max() < 1e-9
+
+
+def test_spectra_shared_by_threads_computes_each_length_once(monkeypatch):
+    import sys
+    import threading
+    calls = []
+    np_rfft = np.fft.rfft
+
+    def counted(x, n=None, *args, **kwargs):
+        calls.append(n)
+        return np_rfft(x, n, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "rfft", counted)
+    source = dsp.Spectra(np.random.default_rng(0).standard_normal(3000))
+    lengths = [4096, 8192, 16384]
+    got = [[] for _ in range(8)]   # more workers than cores
+
+    def work(out):
+        for _ in range(20):
+            out.extend(source.at(n) for n in lengths)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        workers = [threading.Thread(target=work, args=(out,)) for out in got]
+        for w in workers:
+            w.start()
+        for w in workers:
+            w.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(w.is_alive() for w in workers)
+    assert sorted(calls) == lengths
+    for out in got:
+        assert len(out) == 60
+        assert all(a is source.at(n) for a, n in zip(out, lengths * 20))
 
 
 def test_convolve_rejects_empty():
