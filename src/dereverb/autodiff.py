@@ -10,6 +10,14 @@ walks nodes by descending creation index and visits each exactly once.
 Gradients accumulate into `.grad` and are bit-reproducible for identical
 runs.
 
+`backward` frees the graph as it walks it (as PyTorch does; Paszke et al.,
+*PyTorch: An Imperative Style, High-Performance Deep Learning Library*,
+NeurIPS 2019): right after an interior node's rule has run, the node drops
+its `.grad`, its rule and its parent links, so each activation is freed as
+soon as the last rule reading it is done. Only leaves keep `.grad`, and a
+graph can be backpropagated once: a second `backward` through any of its
+nodes raises `GraphReleased`.
+
 Only tensors that need a gradient get a `.grad`. A `Tensor` built directly
 (a parameter, a test leaf) needs one; a raw array an op wraps through
 :func:`as_tensor` (model input, targets, scalar factors) is a constant and
@@ -24,7 +32,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from .errors import NotScalarLoss, ShapeMismatch
+from .errors import GraphReleased, NotScalarLoss, ShapeMismatch
 
 _counter = itertools.count()
 _grad_enabled = True
@@ -56,7 +64,8 @@ def precision(dtype):
 
 
 class Tensor:
-    """Node in the differentiation graph; leaves have no parents."""
+    """Node in the differentiation graph; leaves have no parents, and a node
+    `backward` has released has `parents` None."""
 
     __slots__ = ("data", "grad", "parents", "bwd", "seq", "needs_grad")
 
@@ -102,21 +111,30 @@ def _node(data, parents, bwd) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Accumulate d(loss)/d(node) into `.grad` over the reachable graph."""
+    """Accumulate d(loss)/d(leaf) into the `.grad` of every reachable leaf
+    that needs one, releasing each interior node once its rule has run."""
     if loss.data.size != 1:
         raise NotScalarLoss(f"loss must be scalar, got shape {loss.data.shape}")
     seen = {id(loss): loss}
     stack = [loss]
     while stack:
         node = stack.pop()
+        if node.parents is None:
+            raise GraphReleased(f"{node!r} belongs to a graph already backpropagated")
         for p in node.parents:
             if id(p) not in seen:
                 seen[id(p)] = p
                 stack.append(p)
+    # ascending creation order, popped from the end: the walk holds no node it has passed
+    order = sorted(seen.values(), key=lambda t: t.seq)
+    del seen
     loss.grad = np.ones_like(loss.data)
-    for node in sorted(seen.values(), key=lambda t: t.seq, reverse=True):
-        if node.bwd is not None and node.grad is not None:
-            node.bwd(node.grad)
+    while order:
+        node = order.pop()
+        if node.bwd is not None:
+            if node.grad is not None:
+                node.bwd(node.grad)
+            node.grad = node.bwd = node.parents = None
 
 
 def _unbroadcast(g: np.ndarray, shape) -> np.ndarray:

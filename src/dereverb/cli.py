@@ -222,7 +222,8 @@ def cmd_train(args) -> int:
         seed=derive_seed(args.seed, "train"),
         checkpoint_every=args.checkpoint_every, scale=args.scale)
     train_examples = trainer.load_split_examples(manifest, examples_dir, "train")
-    val_examples = trainer.load_split_examples(manifest, examples_dir, "val")
+    val_examples = trainer.load_split_examples(manifest, examples_dir, "val",
+                                               limit=trainer.VAL_LIMIT)
     log_path = Path(args.out).with_suffix(".csv")
     _, rows, _ = trainer.train(config, train_examples, val_examples,
                                checkpoint_path=args.out, log_path=log_path)

@@ -10,6 +10,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import struct
@@ -418,6 +419,13 @@ def load_example(path) -> TrainingExample:
 # in the order the records are written
 RECORD_KINDS = {"rir": (RirRecord, "rirs"), "pair": (PairRecord, "pairs")}
 
+# record field annotation -> whether a JSON value can be that field
+FIELD_TYPES = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: type(v) is int,    # not a bool
+    "float": lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
+}
+
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
     with replacing(path) as fh:
@@ -443,8 +451,8 @@ def load_manifest(path) -> CorpusManifest:
         if not header_seen:
             if "version" not in obj:
                 raise ParseError("missing version header", line=lineno)
-            if obj["version"] != MANIFEST_VERSION:
-                raise VersionMismatch(f"manifest version {obj['version']}")
+            if type(obj["version"]) is not int or obj["version"] != MANIFEST_VERSION:
+                raise VersionMismatch(f"manifest version {obj['version']!r}")
             manifest.version = obj["version"]
             header_seen = True
             continue
@@ -453,6 +461,13 @@ def load_manifest(path) -> CorpusManifest:
             raise ParseError(f"unknown record kind {kind!r}", line=lineno)
         cls, attr = RECORD_KINDS[kind]
         require_keys(obj, [f.name for f in fields(cls)], f"{kind} record", line=lineno)
+        for f in fields(cls):
+            if not FIELD_TYPES[f.type](obj[f.name]):
+                raise ParseError(f"{kind} record: {f.name} must be a {f.type}, "
+                                 f"got {obj[f.name]!r}", line=lineno)
+        if kind == "rir" and obj["split"] not in SPLITS:
+            raise ParseError(f"rir record: split must be one of {SPLITS}, "
+                             f"got {obj['split']!r}", line=lineno)
         getattr(manifest, attr).append(cls(**obj))
     if not header_seen:
         raise ParseError("empty manifest", line=1)

@@ -79,6 +79,10 @@ class NotScalarLoss(DereverbError):
     """Backward pass requires a scalar root node."""
 
 
+class GraphReleased(DereverbError):
+    """Backward pass through a graph an earlier backward pass has freed."""
+
+
 class WrongFrameCount(DereverbError):
     """Model input does not have the frame count its layer stack closes over."""
 

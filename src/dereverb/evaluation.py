@@ -104,32 +104,41 @@ def _rir_metrics(report, example_id, rir_est, example):
 
 
 def evaluate_model(model, examples, example_ids) -> MetricsReport:
-    """Forward every example and score each head the model's kind returns;
-    a model with both heads is also scored on the reverberant reconstruction."""
-    if not examples:
-        raise EmptySplit("no examples to evaluate")
+    """Forward each example of the iterable `examples` as it comes and score
+    each head the model's kind returns; a model with both heads is also
+    scored on the reverberant reconstruction. An example is dropped once
+    scored, so a lazy `examples` is held one example at a time."""
     report = MetricsReport()
+    ids = iter(example_ids)
     with no_grad():
-        for example_id, example in zip(example_ids, examples):
-            est = models.estimates(model, example.input_logmag)
-            if "dry" in est:
-                _dry_metrics(report, example_id, est["dry"].data, example)
-            if "rir" in est:
-                _rir_metrics(report, example_id, est["rir"].data, example)
-            if len(est) == 2:
-                recon = models.reconstruct_reverb(
-                    est["rir"].data, np.exp(example.dry_target_logmag))
-                report.add(example_id, "reconstruction_mse", float(np.mean(
-                    (recon.data - example.reverb_target_mag) ** 2)))
+        for example in examples:
+            _score(report, model, next(ids), example)
+            del example   # freed before the next one loads
+    if not report.rows:
+        raise EmptySplit("no examples to evaluate")
     return report
+
+
+def _score(report, model, example_id, example):
+    est = models.estimates(model, example.input_logmag)
+    if "dry" in est:
+        _dry_metrics(report, example_id, est["dry"].data, example)
+    if "rir" in est:
+        _rir_metrics(report, example_id, est["rir"].data, example)
+    if len(est) == 2:
+        recon = models.reconstruct_reverb(
+            est["rir"].data, np.exp(example.dry_target_logmag))
+        report.add(example_id, "reconstruction_mse", float(np.mean(
+            (recon.data - example.reverb_target_mag) ** 2)))
 
 
 def evaluate(checkpoint: trainer.Checkpoint, manifest, split: str,
              examples_dir) -> MetricsReport:
-    """Score a checkpoint on every cached example of one split."""
+    """Score a checkpoint on every cached example of one split, loading each
+    as it is scored."""
     model = trainer.restore_model(checkpoint)
     paths = trainer.split_cache_paths(manifest, examples_dir, split)
     if not paths:
         raise EmptySplit(f"split {split!r} has no cached examples")
-    examples = [corpus.load_example(p) for p in paths]
-    return evaluate_model(model, examples, [p.stem for p in paths])
+    return evaluate_model(model, (corpus.load_example(p) for p in paths),
+                          [p.stem for p in paths])

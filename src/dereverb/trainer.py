@@ -12,6 +12,10 @@ streams of the master seed, batches accumulate gradients in a fixed order,
 and the log records every loss component per epoch. Checkpoints capture
 parameters and Adam moments, all float32 as training holds them, and the
 shuffle RNG, so a resumed run continues the same trajectory exactly.
+
+A batch accumulates gradients one example at a time, and each example's
+backward pass frees that example's graph as it walks it, so training holds
+one example's activations at a time, whatever the batch size.
 """
 
 from __future__ import annotations
@@ -121,6 +125,15 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"{path}: bad metadata: {exc}") from exc
     require_keys(meta, [f.name for f in fields(Checkpoint)], f"{path}: metadata")
     require_keys(meta["adam"], ADAM_STATE, f"{path}: adam")
+    if not (isinstance(meta["kind"], str) and isinstance(meta["config"], dict)
+            and type(meta["epoch"]) is int and isinstance(meta["rng_state"], dict)):
+        raise ParseError(f"{path}: kind must be a string, config and rng_state "
+                         "objects, epoch an int")
+    adam = meta["adam"]
+    if not (type(adam["t"]) is int
+            and all(corpus.FIELD_TYPES["float"](adam[key]) for key in ADAM_STATE[1:])):
+        raise ParseError(f"{path}: adam: t must be an int, the rest finite numbers, "
+                         f"got {adam}")
     if not isinstance(meta["tensors"], list):
         raise ParseError(f"{path}: tensors must be a list of entries")
     tensors = {}
@@ -135,7 +148,10 @@ def load_checkpoint(path) -> Checkpoint:
         if offset + 4 * count > len(raw):
             raise ParseError(f"{path}: truncated tensor {name}")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        tensors[name] = arr.reshape(shape).copy()
+        try:
+            tensors[name] = arr.reshape(shape).copy()
+        except ValueError as exc:   # more axes, or a larger extent, than numpy allows
+            raise ParseError(f"{path}: bad tensor shape {shape}: {exc}") from exc
         offset += 4 * count
     return Checkpoint(**{**meta, "tensors": tensors})
 
@@ -309,6 +325,7 @@ def split_cache_paths(manifest, examples_dir, split):
             for p in manifest.pairs if by_id.get(p.rir_id) == split]
 
 
-def load_split_examples(manifest, examples_dir, split):
-    paths = split_cache_paths(manifest, examples_dir, split)
+def load_split_examples(manifest, examples_dir, split, limit=None):
+    """The cached examples of `split`, only the first `limit` when given."""
+    paths = split_cache_paths(manifest, examples_dir, split)[:limit]
     return [corpus.load_example(p) for p in paths]

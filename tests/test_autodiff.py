@@ -1,8 +1,10 @@
+import weakref
+
 import numpy as np
 import pytest
 
 from dereverb import autodiff as ad
-from dereverb.errors import NotScalarLoss, ShapeMismatch
+from dereverb.errors import GraphReleased, NotScalarLoss, ShapeMismatch
 from conftest import total
 
 
@@ -217,3 +219,51 @@ def test_backward_is_deterministic():
     ga1, gb1 = run()
     ga2, gb2 = run()
     assert np.array_equal(ga1, ga2) and np.array_equal(gb1, gb2)
+
+
+def small_graph():
+    """Leaves a, b and a scalar loss over a few interior nodes."""
+    rng = np.random.default_rng(7)
+    a = ad.Tensor(rng.standard_normal((6, 6)))
+    b = ad.Tensor(rng.standard_normal((6, 6)))
+    return a, b, ad.mse(ad.elu(ad.matmul(a, b)), ad.relu(ad.add(a, b)))
+
+
+def interior_nodes(loss):
+    """Every node of the graph of `loss` that has a backward rule."""
+    seen, stack = {id(loss): loss}, [loss]
+    while stack:
+        for p in stack.pop().parents:
+            if id(p) not in seen:
+                seen[id(p)] = p
+                stack.append(p)
+    return [t for t in seen.values() if t.bwd is not None]
+
+
+def test_backward_frees_every_interior_array():
+    a, b, loss = small_graph()
+    interior = interior_nodes(loss)
+    data = [weakref.ref(t.data) for t in interior if t is not loss]
+    grads = []
+    for t in interior:   # each rule notes the gradient it is handed
+        def noting(g, rule=t.bwd):
+            grads.append(weakref.ref(g))
+            rule(g)
+        t.bwd = noting
+    del interior, t
+    ad.backward(loss)    # the caller still holds `loss`
+    assert len(data) == 4 and len(grads) == 5   # matmul, elu, add, relu; and mse
+    assert [r() is None for r in data + grads] == [True] * 9
+    assert loss.grad is None and loss.parents is None and loss.bwd is None
+    assert a.grad is not None and b.grad is not None
+
+
+def test_second_backward_raises_and_leaves_gradients_alone():
+    a, b, loss = small_graph()
+    ad.backward(loss)
+    ga, gb = a.grad.copy(), b.grad.copy()
+    with pytest.raises(GraphReleased):
+        ad.backward(loss)
+    with pytest.raises(GraphReleased):   # through a node of the released graph
+        ad.backward(total(ad.mul(loss, 2.0)))
+    assert np.array_equal(a.grad, ga) and np.array_equal(b.grad, gb)

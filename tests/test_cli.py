@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -277,6 +278,51 @@ def test_train_on_malformed_cache_or_manifest_exits_2(pipeline_corpus, tmp_path)
     manifest = cache / "manifest.jsonl"
     manifest.write_bytes(manifest.read_bytes().replace(b"utt0", b"utt\xff", 1))
     assert run(train) == 2
+
+
+def test_manifest_field_of_the_wrong_type_exits_2(pipeline_corpus, tmp_path):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    cache = tmp_path / "cache"
+    assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--out-dir", str(cache)]) == 0
+    manifest_path.write_bytes(re.sub(rb'"path": "[^"]*"', b'"path": 3',
+                                     manifest_path.read_bytes(), count=1))
+    assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--out-dir", str(tmp_path / "bad")]) == 2
+    cached = cache / "manifest.jsonl"
+    cached.write_bytes(cached.read_bytes().replace(b'"split": "train"',
+                                                   b'"split": ["train"]', 1))
+    assert run(["train", "--manifest", str(cached), "--model", "rir", "--epochs", "1",
+                "--out", str(tmp_path / "model.ckpt")]) == 2
+
+
+def test_train_loads_only_the_validation_examples_it_scores(pipeline_corpus, tmp_path,
+                                                            monkeypatch):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    cache = tmp_path / "cache"
+    assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--out-dir", str(cache)]) == 0
+    assert run(["synth", "--manifest", str(cache / "manifest.jsonl"), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--split", "val", "--out-dir", str(cache)]) == 0
+    manifest = corpus.load_manifest(cache / "manifest.jsonl")
+    val = trainer.split_cache_paths(manifest, cache, "val")
+    assert len(val) > 1
+    loaded = []
+    real_load = corpus.load_example
+
+    def load(path):
+        loaded.append(Path(path))
+        return real_load(path)
+
+    monkeypatch.setattr(corpus, "load_example", load)
+    monkeypatch.setattr(trainer, "VAL_LIMIT", 1)
+    assert run(["train", "--manifest", str(cache / "manifest.jsonl"), "--model", "rir",
+                "--epochs", "1", "--out", str(tmp_path / "model.ckpt")]) == 0
+    assert [p for p in loaded if p in val] == val[:1]
+    rows = (tmp_path / "model.csv").read_text().splitlines()
+    assert [row.split(",")[1] for row in rows[1:]] == ["train", "val"]
 
 
 def test_non_finite_gradient_exits_3(pipeline_corpus, tmp_path, monkeypatch, capsys):

@@ -1,7 +1,10 @@
 import builtins
 import errno
 import io
+import json
+import math
 import struct
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -429,6 +432,103 @@ def test_manifest_version_mismatch(tmp_path):
     path.write_text('{"version": 99}\n')
     with pytest.raises(VersionMismatch):
         corpus.load_manifest(path)
+
+
+@pytest.mark.parametrize("version", ["true", "1.0", '"1"'])
+def test_manifest_version_must_be_an_integer(tmp_path, version):
+    path = tmp_path / "m.jsonl"
+    path.write_text(f'{{"version": {version}}}\n')
+    with pytest.raises(VersionMismatch):
+        corpus.load_manifest(path)
+
+
+RIR_LINE = {"kind": "rir", "id": "a", "path": "p", "group_key": "g",
+            "split": "train", "duration_s": 1.0}
+PAIR_LINE = {"kind": "pair", "dry_path": "d", "rir_id": "a", "seed": 1}
+
+
+def write_manifest_lines(path, *records):
+    lines = [{"version": corpus.MANIFEST_VERSION}, *records]
+    path.write_text("".join(json.dumps(line) + "\n" for line in lines))
+
+
+@pytest.mark.parametrize("record, key, value", [
+    (RIR_LINE, "path", 3), (RIR_LINE, "id", None), (RIR_LINE, "group_key", ["g"]),
+    (RIR_LINE, "split", ["train"]), (RIR_LINE, "split", "holdout"),
+    (RIR_LINE, "duration_s", "1.0"), (RIR_LINE, "duration_s", math.nan),
+    (RIR_LINE, "duration_s", math.inf), (RIR_LINE, "duration_s", True),
+    (PAIR_LINE, "seed", True), (PAIR_LINE, "seed", 1.0), (PAIR_LINE, "seed", "1"),
+    (PAIR_LINE, "dry_path", 0), (PAIR_LINE, "rir_id", {}),
+])
+def test_manifest_field_of_the_wrong_type_is_a_parse_error(tmp_path, record, key, value):
+    path = tmp_path / "m.jsonl"
+    write_manifest_lines(path, RIR_LINE, record)
+    assert corpus.load_manifest(path)
+    write_manifest_lines(path, RIR_LINE, {**record, key: value})
+    with pytest.raises(ParseError) as err:
+        corpus.load_manifest(path)
+    assert err.value.line == 3
+
+
+def test_manifest_duration_may_be_an_integer(tmp_path):
+    path = tmp_path / "m.jsonl"
+    write_manifest_lines(path, {**RIR_LINE, "duration_s": 2})
+    assert corpus.load_manifest(path).rirs[0].duration_s == 2
+
+
+json_scalars = (st.none() | st.booleans() | st.integers() | st.floats()
+                | st.text(max_size=4))
+json_anything = json_scalars | st.lists(json_scalars, max_size=2) \
+    | st.dictionaries(st.text(max_size=3), json_scalars, max_size=2)
+
+
+@st.composite
+def manifest_files(draw):
+    """Manifest bytes from fuzzed lines: the header, then records whose kind,
+    keys and field values are mostly as `save_manifest` writes them, else
+    anything JSON can hold."""
+    header = draw(mostly(st.just({"version": corpus.MANIFEST_VERSION}),
+                         st.dictionaries(st.just("version") | st.text(max_size=3),
+                                         json_anything, max_size=2)))
+    lines = [header]
+    for _ in range(draw(st.integers(0, 3))):
+        kind = draw(mostly(st.sampled_from(sorted(corpus.RECORD_KINDS)), json_anything))
+        cls, _ = corpus.RECORD_KINDS.get(kind if isinstance(kind, str) else "",
+                                         (corpus.PairRecord, None))
+        record = {"kind": kind}
+        for f in fields(cls):
+            usual = {"str": st.text(max_size=4), "int": st.integers(),
+                     "float": st.floats(0, 10)}[f.type]
+            if f.name == "split":
+                usual = st.sampled_from(corpus.SPLITS)
+            record[f.name] = draw(mostly(usual, json_anything))
+        if draw(st.integers(0, 7)) == 0:
+            record.pop(draw(st.sampled_from(sorted(record))))
+        lines.append(record)
+    return b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+
+
+def is_finite_number(value):
+    return type(value) is int or (type(value) is float and math.isfinite(value))
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=96) | manifest_files())
+def test_any_manifest_bytes_load_well_typed_or_raise_a_dereverb_error(tmp_path, raw):
+    path = tmp_path / "fuzz.jsonl"
+    path.write_bytes(raw)
+    try:
+        manifest = corpus.load_manifest(path)
+    except DereverbError:
+        return
+    assert type(manifest.version) is int
+    for r in manifest.rirs:
+        assert all(isinstance(v, str) for v in (r.id, r.path, r.group_key))
+        assert r.split in corpus.SPLITS and is_finite_number(r.duration_s)
+    for p in manifest.pairs:
+        assert isinstance(p.dry_path, str) and isinstance(p.rir_id, str)
+        assert type(p.seed) is int
 
 
 # --- atomic writes -------------------------------------------------------

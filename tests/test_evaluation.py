@@ -1,9 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from dereverb import evaluation, models
+from dereverb import corpus, evaluation, models, trainer
 from dereverb.errors import EmptySplit, InsufficientDecay, ShapeMismatch, ZeroEnergy
 from test_models import tiny_example
 
@@ -155,6 +156,39 @@ def test_evaluate_constant_zero_dry_model_matches_direct_lsd():
         for ex in examples]
     got = [v for _, m, v in report.rows if m == "lsd_db"]
     np.testing.assert_allclose(got, want)
+
+
+def test_evaluate_holds_one_loaded_example_at_a_time(tmp_path, monkeypatch):
+    examples = decaying_examples(3)
+    manifest = corpus.CorpusManifest(
+        rirs=[corpus.RirRecord("r", "r.wav", "g", split="test")],
+        pairs=[corpus.PairRecord(f"d{i}.wav", "r", i) for i in range(3)])
+    for pair, ex in zip(manifest.pairs, examples):
+        corpus.save_example(ex, tmp_path / corpus.pair_cache_name(pair))
+    monkeypatch.setattr(trainer, "restore_model", lambda ckpt: OracleModel(examples))
+    loaded, alive_at_load = [], []
+    real_load = corpus.load_example
+
+    def load(path):
+        alive_at_load.append(sum(ref() is not None for ref in loaded))
+        example = real_load(path)
+        loaded.append(weakref.ref(example))
+        return example
+
+    monkeypatch.setattr(corpus, "load_example", load)
+    report = evaluation.evaluate(None, manifest, "test", tmp_path)
+    assert alive_at_load == [0, 0, 0]
+    assert len(report.rows) == 3 * len(report.metrics())
+
+
+def test_evaluate_model_takes_any_iterable():
+    examples = decaying_examples(2)
+    ids = ["a", "b"]
+    from_list = evaluation.evaluate_model(OracleModel(examples), examples, ids)
+    from_iter = evaluation.evaluate_model(OracleModel(examples), iter(examples), iter(ids))
+    assert from_iter.rows == from_list.rows
+    with pytest.raises(EmptySplit):
+        evaluation.evaluate_model(OracleModel([]), iter([]), [])
 
 
 def test_evaluate_empty_raises():

@@ -1,7 +1,9 @@
 import contextlib
 import dataclasses
 import json
+import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dereverb import autodiff as ad
-from dereverb import evaluation, models, nn, trainer
+from dereverb import corpus, evaluation, models, nn, trainer
 from dereverb.errors import (
     DereverbError,
     KindMismatch,
@@ -17,6 +19,7 @@ from dereverb.errors import (
     ParseError,
     VersionMismatch,
 )
+from test_dsp import mostly, u32
 from test_models import tiny_example
 
 
@@ -51,26 +54,58 @@ def reachable_leaves(root):
 
 
 def one_step(kind, wrap_input):
-    """A tiny model of `kind` after one backward pass of its training loss;
-    its input is a raw array, or a Tensor leaf when `wrap_input`."""
+    """A tiny model of `kind` after one backward pass of its training loss,
+    and the leaves that loss's graph reached, collected before the pass
+    released the graph; the input is a raw array, or a Tensor leaf when
+    `wrap_input`."""
     model = models.build_tiny_model(kind, np.random.default_rng(3))
     example = tiny_example(np.random.default_rng(4), consistent=False)
     if wrap_input:
         example.input_logmag = ad.Tensor(example.input_logmag)
     total = trainer.example_losses(model, example, (0.5, 1.0, 2.0))[0]
+    leaves = reachable_leaves(total)
     ad.backward(total)
-    return model, total, example.input_logmag
+    return model, leaves, example.input_logmag
 
 
 @pytest.mark.parametrize("kind", models.MODEL_KINDS)
 def test_only_parameters_get_gradients(kind):
-    model, total, _ = one_step(kind, wrap_input=False)
+    model, leaves, _ = one_step(kind, wrap_input=False)
     wrapped, _, x = one_step(kind, wrap_input=True)
     for (name, p), (_, q) in zip(model.params(), wrapped.params()):
         assert np.array_equal(p.grad, q.grad), name
     assert x.grad is not None and x.grad.shape == x.shape
-    with_grad = {id(t) for t in reachable_leaves(total) if t.grad is not None}
+    with_grad = {id(t) for t in leaves if t.grad is not None}
     assert with_grad == {id(p) for _, p in model.params()}
+
+
+def desk_example(rng):
+    """A training example of the cache's full shapes."""
+    reverb = rng.uniform(0.01, 1.0, (corpus.INPUT_FRAMES, corpus.BINS))
+    return corpus.TrainingExample(
+        input_logmag=np.log(reverb),
+        dry_target_logmag=rng.uniform(-3.0, 0.0, reverb.shape),
+        rir_target_mag=rng.uniform(0.0, 1.0, (corpus.RIR_FRAMES, corpus.BINS)),
+        reverb_target_mag=reverb,
+        dry_scale=1.0, rir_scale=1.0, reverb_scale=1.0)
+
+
+@pytest.mark.parametrize("kind", ["rir", "joint"])
+def test_training_holds_one_example_graph_at_a_time(kind):
+    """Backward frees each example's graph before the next forward, so the
+    heap peak of one batch of four is that of one example."""
+    rng = np.random.default_rng(0)
+    examples = [desk_example(rng) for _ in range(4)]
+    peaks = []
+    for n in (1, 4):
+        config = trainer.TrainConfig(model=kind, epochs=1, batch_size=4, seed=0)
+        tracemalloc.start()
+        try:
+            trainer.train(config, examples[:n])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.05 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
 
 
 def record_dtypes(monkeypatch):
@@ -342,9 +377,19 @@ def rewrite_metadata(path, edit):
     lambda meta: meta.update(tensors=3),
     lambda meta: meta["tensors"][0].update(shape=[-1]),
     lambda meta: meta["tensors"][0].update(shape=["a"]),
+    lambda meta: meta["tensors"][0].update(shape=[0] * 70),
+    lambda meta: meta.update(epoch="1"),
+    lambda meta: meta.update(epoch=True),
+    lambda meta: meta.update(config=[]),
+    lambda meta: meta.update(rng_state=None),
+    lambda meta: meta["adam"].update(t=1.5),
+    lambda meta: meta["adam"].update(lr="0.001"),
+    lambda meta: meta["adam"].update(eps=math.inf),
 ], ids=["missing-key", "extra-key", "bad-type", "bad-layer", "unknown-kind",
         "no-adam", "adam-key", "tensor-key", "tensors-not-list", "tensor-negative-shape",
-        "tensor-shape"])
+        "tensor-shape", "tensor-too-many-axes", "epoch-str", "epoch-bool",
+        "config-not-object", "rng-state-null", "adam-t-float", "adam-lr-str",
+        "adam-eps-inf"])
 def test_malformed_checkpoint_metadata_is_a_parse_error(tmp_path, tiny_models, edit):
     path = tmp_path / "m.ckpt"
     trainer.train(tiny_config(epochs=1), tiny_examples(1), checkpoint_path=path)
@@ -402,6 +447,55 @@ def test_any_json_config_builds_a_model_or_raises_a_dereverb_error(case):
     except DereverbError:
         return
     assert models.config_to_dict(model.config) == config
+
+
+CKPT_META = {"kind": "rir", "config": {}, "epoch": 1,
+             "adam": {"t": 1, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+             "rng_state": {"state": {}}}
+fuzz_values = json_values | st.integers() | st.floats()
+
+
+@st.composite
+def checkpoint_files(draw):
+    """Checkpoint bytes from fuzzed fields: magic, version, metadata length,
+    each metadata value and each tensor entry mostly as `save_checkpoint`
+    writes them, else anything; tensor data of the size the entries imply,
+    else any length."""
+    magic = draw(mostly(st.just(trainer.CKPT_MAGIC), st.binary(min_size=4, max_size=4)))
+    version = draw(mostly(st.just(trainer.CKPT_VERSION), u32))
+    shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=3))
+    meta = {key: draw(mostly(st.just(value), fuzz_values))
+            for key, value in CKPT_META.items()}
+    if isinstance(meta["adam"], dict):
+        meta["adam"] = {key: draw(mostly(st.just(value), fuzz_values))
+                        for key, value in meta["adam"].items()}
+    meta["tensors"] = [{"name": draw(mostly(st.just(f"p.t{i}"), fuzz_values)),
+                        "shape": draw(mostly(st.just(shape), fuzz_values))}
+                       for i, shape in enumerate(shapes)]
+    body = json.dumps(meta).encode()
+    meta_len = draw(mostly(st.just(len(body)), st.integers(0, 2 ** 64 - 1)))
+    count = sum(math.prod(shape) for shape in shapes)
+    data = draw(mostly(st.just(bytes(4 * count)), st.binary(max_size=64)))
+    return struct.pack("<4sIQ", magic, version, meta_len) + body + data
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(raw=st.binary(max_size=96) | checkpoint_files())
+def test_any_checkpoint_bytes_load_well_typed_or_raise_a_dereverb_error(tmp_path, raw):
+    path = tmp_path / "fuzz.ckpt"
+    path.write_bytes(raw)
+    try:
+        ckpt = trainer.load_checkpoint(path)
+    except DereverbError:
+        return
+    assert isinstance(ckpt.kind, str) and isinstance(ckpt.config, dict)
+    assert type(ckpt.epoch) is int and isinstance(ckpt.rng_state, dict)
+    assert ckpt.adam.keys() == set(trainer.ADAM_STATE) and type(ckpt.adam["t"]) is int
+    assert all(type(v) is int or (type(v) is float and math.isfinite(v))
+               for key, v in ckpt.adam.items() if key != "t")
+    assert all(isinstance(name, str) and arr.dtype == np.float32
+               for name, arr in ckpt.tensors.items())
 
 
 def test_log_file_format(tmp_path, tiny_models):
