@@ -1,7 +1,8 @@
 """Command-line entry point: prepare / synth / train / gradcheck / eval / info.
 
 Exit codes: 0 ok, 1 I/O failure, 2 data problem, 3 numeric failure,
-64 usage. All randomness fans out from --seed through named streams, so any
+64 usage. prepare, synth, train and gradcheck draw random numbers and take
+--seed; all their randomness fans out from it through named streams. Every
 subcommand is bit-reproducible when BLAS runs one thread
 (OPENBLAS_NUM_THREADS=1); with more, GEMM summation order and so training
 bytes may change. train computes in float32; eval, gradcheck and info in
@@ -46,7 +47,7 @@ class _Parser(argparse.ArgumentParser):
         sys.exit(EXIT_USAGE)
 
 
-def _add_common(p):
+def _add_seed(p):
     p.add_argument("--seed", type=int, default=0, help="master random seed")
 
 
@@ -73,7 +74,7 @@ def build_parser() -> _Parser:
     p.add_argument("--big-group", type=int, default=20,
                    help="groups larger than this go to train")
     p.add_argument("--out", default="manifest.jsonl")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_prepare)
 
     p = sub.add_parser("synth", formatter_class=fmt,
@@ -93,7 +94,7 @@ def build_parser() -> _Parser:
     p.add_argument("--threads", type=int,
                    default=os.environ.get("DEREVERB_THREADS", "1"),
                    help="worker threads, at least 1; one dry file each")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_synth)
 
     p = sub.add_parser("train", formatter_class=fmt,
@@ -108,14 +109,14 @@ def build_parser() -> _Parser:
                    help="w_dry,w_rir,w_rec for the joint loss")
     p.add_argument("--checkpoint-every", type=int, default=0)
     p.add_argument("--out", default="model.ckpt")
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gradcheck", formatter_class=fmt,
                        help="finite-difference check of the tiny models")
     p.add_argument("--model", default="all",
                    choices=["all", *models.MODEL_KINDS])
-    _add_common(p)
+    _add_seed(p)
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("eval", formatter_class=fmt,
@@ -124,7 +125,6 @@ def build_parser() -> _Parser:
     p.add_argument("--manifest", required=True)
     p.add_argument("--split", default="test")
     p.add_argument("--report", default="report.csv")
-    _add_common(p)
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("info", formatter_class=fmt,
@@ -132,7 +132,6 @@ def build_parser() -> _Parser:
     p.add_argument("--ckpt", default=None)
     p.add_argument("--model", default=None, choices=list(models.MODEL_KINDS))
     p.add_argument("--scale", default="desk", choices=list(models.SCALES))
-    _add_common(p)
     p.set_defaults(func=cmd_info)
     return parser
 

@@ -10,13 +10,12 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
-import math
 import os
 import re
 import struct
 from collections import Counter, defaultdict
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,7 +29,7 @@ from .errors import (
     NoFilesFound,
     ParseError,
     VersionMismatch,
-    require_keys,
+    require_record,
 )
 
 log = logging.getLogger(__name__)
@@ -419,13 +418,6 @@ def load_example(path) -> TrainingExample:
 # in the order the records are written
 RECORD_KINDS = {"rir": (RirRecord, "rirs"), "pair": (PairRecord, "pairs")}
 
-# record field annotation -> whether a JSON value can be that field
-FIELD_TYPES = {
-    "str": lambda v: isinstance(v, str),
-    "int": lambda v: type(v) is int,    # not a bool
-    "float": lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
-}
-
 
 def save_manifest(manifest: CorpusManifest, path) -> None:
     with replacing(path) as fh:
@@ -460,11 +452,7 @@ def load_manifest(path) -> CorpusManifest:
         if not isinstance(kind, str) or kind not in RECORD_KINDS:
             raise ParseError(f"unknown record kind {kind!r}", line=lineno)
         cls, attr = RECORD_KINDS[kind]
-        require_keys(obj, [f.name for f in fields(cls)], f"{kind} record", line=lineno)
-        for f in fields(cls):
-            if not FIELD_TYPES[f.type](obj[f.name]):
-                raise ParseError(f"{kind} record: {f.name} must be a {f.type}, "
-                                 f"got {obj[f.name]!r}", line=lineno)
+        require_record(obj, cls, f"{kind} record", line=lineno)
         if kind == "rir" and obj["split"] not in SPLITS:
             raise ParseError(f"rir record: split must be one of {SPLITS}, "
                              f"got {obj['split']!r}", line=lineno)

@@ -1,4 +1,9 @@
-"""Exception types shared across the toolkit."""
+"""Exception types shared across the toolkit, and the one check that turns a
+malformed persisted JSON record (a manifest record, checkpoint metadata)
+into a `ParseError`."""
+
+import math
+from dataclasses import fields
 
 
 class DereverbError(Exception):
@@ -68,6 +73,27 @@ def require_keys(obj, keys, what, line=None):
     if not isinstance(obj, dict) or obj.keys() != set(keys):
         got = sorted(obj) if isinstance(obj, dict) else type(obj).__name__
         raise ParseError(f"{what}: expected keys {sorted(keys)}, got {got}", line=line)
+
+
+# field annotation -> whether a JSON value can be that field
+_JSON_TYPES = {
+    "str": lambda v: isinstance(v, str),
+    "int": lambda v: type(v) is int,    # not a bool
+    "float": lambda v: type(v) is int or (type(v) is float and math.isfinite(v)),
+    "dict": lambda v: isinstance(v, dict),
+}
+
+
+def require_record(obj, cls, what, line=None):
+    """Raise ParseError unless `obj` is a JSON object with exactly the fields
+    of dataclass `cls`, each a JSON value of its annotated type: `str`, `int`,
+    `float` (finite) or `dict`. The annotations must be strings, as under
+    `from __future__ import annotations`."""
+    require_keys(obj, [f.name for f in fields(cls)], what, line=line)
+    for f in fields(cls):
+        if not _JSON_TYPES[f.type](obj[f.name]):
+            raise ParseError(f"{what}: {f.name} must be a {f.type}, got {obj[f.name]!r}",
+                             line=line)
 
 
 # --- tensors / models ---

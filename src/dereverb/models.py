@@ -264,7 +264,6 @@ class JointConfig:
     gru_layers: int = 3
     input_frames: int = 313
     bins: int = 257
-    weights: tuple = (1.0, 1.0, 1.0)
 
 
 class JointModel:
@@ -283,9 +282,6 @@ class JointModel:
         _check_closure(config.rir_layers, config.input_frames)
         if not 0 < config.trunk_depth < len(config.rir_layers):
             raise ValueError("trunk depth must split the conv stack")
-        w = config.weights
-        if len(w) != 3 or any(x < 0 for x in w) or not any(w):
-            raise ValueError("loss weights must be non-negative, not all zero")
         self.config = config
         trunk_layers = config.rir_layers[:config.trunk_depth]
         head_layers = config.rir_layers[config.trunk_depth:]
@@ -430,16 +426,13 @@ def estimates(model, x) -> dict:
     return dict(zip(heads, out if len(heads) > 1 else (out,)))
 
 
-def build_model(kind: str, scale: str = "desk", rng=None, weights=None):
+def build_model(kind: str, scale: str = "desk", rng=None):
     """Construct a model at the given scale ("desk" shrinks widths; "paper" keeps
-    every published dimension), with the loss `weights` if its config has them."""
+    every published dimension)."""
     spec = _spec(kind)
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}")
-    overrides = dict(spec.desk if scale == "desk" else spec.paper)
-    if weights is not None and "weights" in [f.name for f in fields(spec.config)]:
-        overrides["weights"] = tuple(weights)
-    return _build(spec, spec.config(**overrides), rng)
+    return _build(spec, spec.config(**(spec.desk if scale == "desk" else spec.paper)), rng)
 
 
 def build_model_from_config(kind: str, config: dict, rng=None):
@@ -472,11 +465,9 @@ def config_to_dict(config) -> dict:
 
 
 def _fits(value, default) -> bool:
-    # shaped like the field's default: list for tuple, number for float, int > 0 for int
+    # shaped like the field's default: list for tuple, int > 0 for int
     if isinstance(default, tuple):
         return isinstance(value, list) and all(_fits(v, default[0]) for v in value)
-    if isinstance(default, float):
-        return type(value) in (int, float)
     return type(value) is int and value > 0
 
 

@@ -424,14 +424,15 @@ def orthogonal(rng, n) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 class Adam:
-    """Adam with bias correction; moments live alongside each parameter, in its dtype."""
+    """Adam with bias correction at the published constants BETA1, BETA2 and EPS
+    (Kingma & Ba, arXiv:1412.6980); only the learning rate is set. Moments live
+    alongside each parameter, in its dtype; `t` counts the steps taken."""
 
-    def __init__(self, params, lr=1e-4, beta1=0.9, beta2=0.999, eps=1e-8):
+    BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+    def __init__(self, params, lr=1e-4):
         self.params = list(params)
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p.data) for p in self.params]
         self.v = [np.zeros_like(p.data) for p in self.params]
@@ -442,17 +443,17 @@ class Adam:
 
     def step(self):
         self.t += 1
-        c1 = 1.0 - self.beta1 ** self.t
-        c2 = 1.0 - self.beta2 ** self.t
+        c1 = 1.0 - self.BETA1 ** self.t
+        c2 = 1.0 - self.BETA2 ** self.t
         for p, m, v in zip(self.params, self.m, self.v):
             g = p.grad if p.grad is not None else np.zeros_like(p.data)
             if g.shape != p.data.shape:
                 raise ShapeMismatch(f"gradient {g.shape} vs parameter {p.data.shape}")
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+            m *= self.BETA1
+            m += (1.0 - self.BETA1) * g
+            v *= self.BETA2
+            v += (1.0 - self.BETA2) * g * g
+            p.data -= self.lr * (m / c1) / (np.sqrt(v / c2) + self.EPS)
 
 
 # ---------------------------------------------------------------------------

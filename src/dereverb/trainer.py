@@ -9,9 +9,13 @@ A run is fully determined by (seed, config, example order) when BLAS runs
 one thread (OPENBLAS_NUM_THREADS=1; more threads may change GEMM summation
 order and so the bytes): initialization and epoch shuffles draw from named
 streams of the master seed, batches accumulate gradients in a fixed order,
-and the log records every loss component per epoch. Checkpoints capture
-parameters and Adam moments, all float32 as training holds them, and the
-shuffle RNG, so a resumed run continues the same trajectory exactly.
+and the log records every loss component per epoch. Every training setting
+lives in `TrainConfig`; a checkpoint (format v3) keeps only what a resume
+cannot recompute: the model kind and config, the epoch and Adam step counts,
+the shuffle RNG, and the parameters and Adam moments, all float32 as
+training holds them. A resume takes its learning rate and loss weights from
+its own `TrainConfig`, so at the first run's settings it continues the same
+trajectory exactly.
 
 A batch accumulates gradients one example at a time, and each example's
 backward pass frees that example's graph as it walks it, so training holds
@@ -23,7 +27,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -37,15 +41,14 @@ from .errors import (
     NonFiniteLoss,
     ParseError,
     VersionMismatch,
-    require_keys,
+    require_record,
 )
 from .nn import Adam
 from .seeding import rng_for
 
 CKPT_MAGIC = b"DRVB"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 VAL_LIMIT = 32  # validation examples scored per epoch
-ADAM_STATE = ("t", "lr", "beta1", "beta2", "eps")  # optimizer attributes a checkpoint keeps
 
 
 @dataclass
@@ -68,8 +71,10 @@ class TrainConfig:
             raise ValueError("batch size must be at least 1")
         if not (math.isfinite(self.lr) and self.lr >= 0):
             raise ValueError("learning rate must be finite and not negative")
-        if not all(math.isfinite(w) for w in self.weights):
-            raise ValueError("loss weights must be finite")
+        w = self.weights
+        if not (len(w) == 3 and all(math.isfinite(x) and x >= 0 for x in w) and any(w)):
+            raise ValueError("loss weights must be three finite, non-negative numbers, "
+                             "not all zero")
         if self.checkpoint_every < 0:
             raise ValueError("checkpoint interval must not be negative")
 
@@ -79,9 +84,9 @@ class Checkpoint:
     kind: str
     config: dict
     epoch: int
-    adam: dict                      # t, lr, beta1, beta2, eps
+    step: int                       # Adam steps taken
     rng_state: dict
-    tensors: dict = field(default_factory=dict)  # name -> ndarray
+    tensors: dict = field(default_factory=dict)  # name -> ndarray; name -> shape on file
 
 
 # ---------------------------------------------------------------------------
@@ -89,20 +94,20 @@ class Checkpoint:
 # ---------------------------------------------------------------------------
 
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
-    """Binary layout: magic, version, u64 JSON length, JSON metadata (each
-    tensor's name and shape, sorted by name), then every tensor's data as
-    little-endian float32 in metadata order."""
-    entries = [{"name": name, "shape": list(ckpt.tensors[name].shape)}
-               for name in sorted(ckpt.tensors)]
+    """Binary layout: magic, version, u64 JSON length, JSON metadata (the
+    `Checkpoint` fields, `tensors` as a {name: shape} object in name order),
+    then every tensor's data as little-endian float32 in name order."""
+    names = sorted(ckpt.tensors)
     meta = json.dumps({
         "kind": ckpt.kind, "config": ckpt.config, "epoch": ckpt.epoch,
-        "adam": ckpt.adam, "rng_state": ckpt.rng_state, "tensors": entries,
+        "step": ckpt.step, "rng_state": ckpt.rng_state,
+        "tensors": {name: list(ckpt.tensors[name].shape) for name in names},
     }, sort_keys=True).encode()
     with corpus.replacing(path) as fh:
         fh.write(struct.pack("<4sIQ", CKPT_MAGIC, CKPT_VERSION, len(meta)))
         fh.write(meta)
-        for e in entries:
-            fh.write(np.ascontiguousarray(ckpt.tensors[e["name"]], dtype="<f4").tobytes())
+        for name in names:
+            fh.write(np.ascontiguousarray(ckpt.tensors[name], dtype="<f4").tobytes())
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -123,27 +128,17 @@ def load_checkpoint(path) -> Checkpoint:
         meta = json.loads(raw[16:16 + meta_len])
     except ValueError as exc:   # not UTF-8 or not JSON
         raise ParseError(f"{path}: bad metadata: {exc}") from exc
-    require_keys(meta, [f.name for f in fields(Checkpoint)], f"{path}: metadata")
-    require_keys(meta["adam"], ADAM_STATE, f"{path}: adam")
-    if not (isinstance(meta["kind"], str) and isinstance(meta["config"], dict)
-            and type(meta["epoch"]) is int and isinstance(meta["rng_state"], dict)):
-        raise ParseError(f"{path}: kind must be a string, config and rng_state "
-                         "objects, epoch an int")
-    adam = meta["adam"]
-    if not (type(adam["t"]) is int
-            and all(corpus.FIELD_TYPES["float"](adam[key]) for key in ADAM_STATE[1:])):
-        raise ParseError(f"{path}: adam: t must be an int, the rest finite numbers, "
-                         f"got {adam}")
-    if not isinstance(meta["tensors"], list):
-        raise ParseError(f"{path}: tensors must be a list of entries")
+    require_record(meta, Checkpoint, f"{path}: metadata")
+    try:   # the state `train` will give its shuffle generator
+        np.random.default_rng().bit_generator.state = meta["rng_state"]
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
+        raise ParseError(f"{path}: bad rng_state: {exc}") from exc
     tensors = {}
     offset = 16 + meta_len
-    for entry in meta["tensors"]:
-        require_keys(entry, ("name", "shape"), f"{path}: tensor entry")
-        name, shape = entry["name"], entry["shape"]
-        if not (isinstance(name, str) and isinstance(shape, list)
-                and all(type(n) is int and n >= 0 for n in shape)):
-            raise ParseError(f"{path}: bad tensor entry {entry}")
+    for name in sorted(meta["tensors"]):
+        shape = meta["tensors"][name]
+        if not (isinstance(shape, list) and all(type(n) is int and n >= 0 for n in shape)):
+            raise ParseError(f"{path}: tensor {name!r}: bad shape {shape!r}")
         count = math.prod(shape)
         if offset + 4 * count > len(raw):
             raise ParseError(f"{path}: truncated tensor {name}")
@@ -164,8 +159,7 @@ def checkpoint_from_state(model, opt: Adam, epoch: int, shuffle_rng) -> Checkpoi
         tensors["v." + name] = v.astype(np.float32)
     return Checkpoint(
         kind=model.kind, config=models.config_to_dict(model.config), epoch=epoch,
-        adam={key: getattr(opt, key) for key in ADAM_STATE},
-        rng_state=shuffle_rng.bit_generator.state,
+        step=opt.t, rng_state=shuffle_rng.bit_generator.state,
         tensors=tensors)
 
 
@@ -186,10 +180,9 @@ def restore_model(ckpt: Checkpoint):
     return model
 
 
-def _restore_optimizer(model, ckpt: Checkpoint) -> Adam:
-    opt = Adam([p for _, p in model.params()])
-    for key in ADAM_STATE:
-        setattr(opt, key, ckpt.adam[key])
+def _restore_optimizer(model, ckpt: Checkpoint, lr) -> Adam:
+    opt = Adam([p for _, p in model.params()], lr=lr)
+    opt.t = ckpt.step
     opt.m = [_stored(ckpt, "m." + name, p.data) for name, p in model.params()]
     opt.v = [_stored(ckpt, "v." + name, p.data) for name, p in model.params()]
     return opt
@@ -228,8 +221,9 @@ def train(config: TrainConfig, train_examples, val_examples=(),
 
     Rows are (epoch, split, total, l_dry, l_rir, l_rec) with one train row
     per epoch and one val row when validation examples are given. `start`
-    resumes from a checkpoint: parameters, Adam moments, shuffle RNG, and
-    the epoch counter continue where they left off. A non-finite loss, or a
+    resumes from a checkpoint: parameters, Adam moments and step count,
+    shuffle RNG, and the epoch counter continue where they left off, while
+    the learning rate and loss weights come from `config`. A non-finite loss, or a
     non-finite gradient before an Adam step, raises `NonFiniteLoss`. The
     returned model holds float64 parameters equal to the checkpoint's, so it
     scores exactly as `restore_model(final)` does.
@@ -247,14 +241,13 @@ def train(config: TrainConfig, train_examples, val_examples=(),
     with ad.precision(np.float32):
         if start is not None:
             model = restore_model(start)
-            opt = _restore_optimizer(model, start)
+            opt = _restore_optimizer(model, start, config.lr)
             shuffle_rng = np.random.default_rng()
             shuffle_rng.bit_generator.state = start.rng_state
             first_epoch = start.epoch + 1
         else:
             model = models.build_model(config.model, scale=config.scale,
-                                       rng=rng_for(config.seed, "init"),
-                                       weights=config.weights)
+                                       rng=rng_for(config.seed, "init"))
             opt = Adam([p for _, p in model.params()], lr=config.lr)
             shuffle_rng = rng_for(config.seed, "shuffle")
             first_epoch = 1

@@ -1,10 +1,13 @@
+import json
 import re
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from dereverb import cli, corpus, dsp, models, nn, trainer
+from dereverb.errors import VersionMismatch
 from conftest import make_dry_clip, make_rir_clip
 from test_trainer import poison_a_gradient
 
@@ -56,6 +59,14 @@ def test_only_synth_takes_threads(command, capsys):
         cli.main([command, "--help"])
     assert exc.value.code == 0
     assert ("--threads" in capsys.readouterr().out) == (command == "synth")
+
+
+@pytest.mark.parametrize("command", ["prepare", "synth", "train", "gradcheck", "eval", "info"])
+def test_only_commands_that_draw_random_numbers_take_seed(command, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main([command, "--help"])
+    assert exc.value.code == 0
+    assert ("--seed" in capsys.readouterr().out) == (command not in ("eval", "info"))
 
 
 def test_bad_threads_environment_only_stops_synth(monkeypatch, tmp_path):
@@ -397,7 +408,8 @@ def test_train_rejects_non_finite_or_negative_settings(pipeline_corpus, tmp_path
     assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
                 str(pipeline_corpus["dry"]), "--rirs-per-dry", "1", "--seed", "9",
                 "--out-dir", str(cache)]) == 0
-    for flags in (["--weights", "nan,1,1"], ["--lr", "inf"], ["--checkpoint-every", "-1"]):
+    for flags in (["--weights", "nan,1,1"], ["--lr", "inf"], ["--checkpoint-every", "-1"],
+                  ["--model", "rir", "--weights", "0,0,0"]):
         out = tmp_path / "model.ckpt"
         assert run(["train", "--manifest", str(cache / "manifest.jsonl"), "--model", "joint",
                     "--out", str(out), *flags]) == 64
@@ -475,9 +487,9 @@ def test_info_malformed_checkpoint_tensor_entry_exits_2(tmp_path, capsys):
     ckpt = trainer.checkpoint_from_state(model, opt, 1, np.random.default_rng(0))
     path = tmp_path / "m.ckpt"
     trainer.save_checkpoint(ckpt, path)
-    rewrite_metadata(path, lambda meta: meta["tensors"][0].update(shape=[-1]))
+    rewrite_metadata(path, lambda meta: meta["tensors"].update({"p.conv0.bias": [-1]}))
     assert run(["info", "--ckpt", str(path)]) == 2
-    assert "bad tensor entry" in capsys.readouterr().err
+    assert "tensor 'p.conv0.bias': bad shape [-1]" in capsys.readouterr().err
 
 
 def test_info_version_1_checkpoint_exits_2(tmp_path, capsys):
@@ -491,6 +503,22 @@ def test_info_version_1_checkpoint_exits_2(tmp_path, capsys):
     path.write_bytes(bytes(raw))
     assert run(["info", "--ckpt", str(path)]) == 2
     assert "checkpoint version 1" in capsys.readouterr().err
+
+
+def test_info_version_2_checkpoint_exits_2(tmp_path, capsys):
+    # the format-2 layout: Adam's settings in the metadata, tensors as a list
+    meta = json.dumps({
+        "kind": "rir", "config": models.config_to_dict(models.RirEstimatorConfig()),
+        "epoch": 1, "adam": {"t": 1, "lr": 1e-4, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
+        "rng_state": np.random.default_rng(0).bit_generator.state,
+        "tensors": [{"name": "p.w", "shape": [2]}]}, sort_keys=True).encode()
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(struct.pack("<4sIQ", trainer.CKPT_MAGIC, 2, len(meta)) + meta
+                     + bytes(8))
+    with pytest.raises(VersionMismatch):
+        trainer.load_checkpoint(path)
+    assert run(["info", "--ckpt", str(path)]) == 2
+    assert "checkpoint version 2" in capsys.readouterr().err
 
 
 def test_info_cache_file_is_not_a_checkpoint(tmp_path, capsys):

@@ -569,7 +569,7 @@ def write_example(path, variant):
 
 def write_checkpoint(path, variant):
     trainer.save_checkpoint(trainer.Checkpoint(
-        kind="rir", config={}, epoch=variant, adam={}, rng_state={},
+        kind="rir", config={}, epoch=variant, step=variant, rng_state={},
         tensors={"p.w": np.full(3, float(variant))}), path)
 
 

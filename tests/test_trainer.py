@@ -38,8 +38,7 @@ def tiny_examples(n, seed=0, consistent=True):
 def tiny_models(monkeypatch):
     import dereverb.models as m
     monkeypatch.setattr(m, "build_model",
-                        lambda kind, scale="desk", rng=None, weights=None:
-                        m.build_tiny_model(kind, rng))
+                        lambda kind, scale="desk", rng=None: m.build_tiny_model(kind, rng))
 
 
 def reachable_leaves(root):
@@ -255,6 +254,14 @@ def test_config_rejects_non_finite_or_negative_settings(field, value):
         trainer.TrainConfig(model="joint", **{field: value})
 
 
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+@pytest.mark.parametrize("weights", [(0.0, 0.0, 0.0), (-1.0, 1.0, 1.0), (1.0, 1.0)],
+                         ids=["all-zero", "negative", "two"])
+def test_config_rejects_loss_weights_of_any_kind(kind, weights):
+    with pytest.raises(ValueError, match="loss weights"):
+        trainer.TrainConfig(model=kind, weights=weights)
+
+
 # --- checkpoints -----------------------------------------------------------
 
 @pytest.mark.parametrize("kind", models.MODEL_KINDS)
@@ -311,6 +318,19 @@ def test_resume_matches_uninterrupted_run(tmp_path, tiny_models, kind):
     assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
 
 
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_resume_takes_the_learning_rate_of_its_config(tmp_path, tiny_models, kind):
+    path = tmp_path / "m.ckpt"
+    _, _, start = trainer.train(tiny_config(model=kind, epochs=1), tiny_examples(3),
+                                checkpoint_path=path)
+    _, _, final = trainer.train(tiny_config(model=kind, epochs=2, lr=0.0), tiny_examples(3),
+                                start=trainer.load_checkpoint(path))
+    assert final.step == start.step + 2   # one epoch: batches of two and one
+    for name, arr in start.tensors.items():
+        if name.startswith("p."):
+            assert np.array_equal(final.tensors[name], arr), name
+
+
 def test_resume_kind_mismatch(tmp_path, tiny_models):
     examples = tiny_examples(1)
     path = tmp_path / "m.ckpt"
@@ -365,31 +385,38 @@ def rewrite_metadata(path, edit):
                      + raw[16 + meta_len:])
 
 
+def set_first_shape(meta, shape):
+    """Replace the shape of the metadata's first tensor."""
+    meta["tensors"][min(meta["tensors"])] = shape
+
+
 @pytest.mark.parametrize("edit", [
     lambda meta: meta["config"].pop("hidden"),
     lambda meta: meta["config"].update(extra=1),
     lambda meta: meta["config"].update(hidden="64"),
     lambda meta: meta["config"].update(rir_layers=[[1, 1]]),
     lambda meta: meta.update(kind="nope"),
-    lambda meta: meta.pop("adam"),
-    lambda meta: meta["adam"].pop("lr"),
-    lambda meta: meta["tensors"][0].pop("shape"),
+    lambda meta: meta.pop("step"),
+    lambda meta: meta.update(adam={"t": 1, "lr": 1e-3}),
+    lambda meta: set_first_shape(meta, {"name": "p.x", "shape": [1]}),
     lambda meta: meta.update(tensors=3),
-    lambda meta: meta["tensors"][0].update(shape=[-1]),
-    lambda meta: meta["tensors"][0].update(shape=["a"]),
-    lambda meta: meta["tensors"][0].update(shape=[0] * 70),
+    lambda meta: set_first_shape(meta, [-1]),
+    lambda meta: set_first_shape(meta, ["a"]),
+    lambda meta: set_first_shape(meta, [0] * 70),
     lambda meta: meta.update(epoch="1"),
     lambda meta: meta.update(epoch=True),
     lambda meta: meta.update(config=[]),
     lambda meta: meta.update(rng_state=None),
-    lambda meta: meta["adam"].update(t=1.5),
-    lambda meta: meta["adam"].update(lr="0.001"),
-    lambda meta: meta["adam"].update(eps=math.inf),
+    lambda meta: meta.update(rng_state={"state": {}}),
+    lambda meta: meta["rng_state"]["state"].update(state=2 ** 128),
+    lambda meta: meta["rng_state"]["state"].update(inc="1"),
+    lambda meta: meta.update(step=1.5),
+    lambda meta: meta.update(step=True),
 ], ids=["missing-key", "extra-key", "bad-type", "bad-layer", "unknown-kind",
-        "no-adam", "adam-key", "tensor-key", "tensors-not-list", "tensor-negative-shape",
-        "tensor-shape", "tensor-too-many-axes", "epoch-str", "epoch-bool",
-        "config-not-object", "rng-state-null", "adam-t-float", "adam-lr-str",
-        "adam-eps-inf"])
+        "no-step", "adam-key", "tensor-shape-not-list", "tensors-not-object",
+        "tensor-negative-shape", "tensor-shape", "tensor-too-many-axes", "epoch-str",
+        "epoch-bool", "config-not-object", "rng-state-null", "rng-state-not-pcg64",
+        "rng-state-overflow", "rng-state-inc-str", "step-float", "step-bool"])
 def test_malformed_checkpoint_metadata_is_a_parse_error(tmp_path, tiny_models, edit):
     path = tmp_path / "m.ckpt"
     trainer.train(tiny_config(epochs=1), tiny_examples(1), checkpoint_path=path)
@@ -416,8 +443,6 @@ def shaped_like(default):
     """Small JSON values with the structure of a config field's default."""
     if isinstance(default, tuple):
         return st.lists(shaped_like(default[0]), min_size=1, max_size=4)
-    if isinstance(default, float):
-        return st.floats(0, 2)
     return st.integers(1, 4)
 
 
@@ -449,29 +474,36 @@ def test_any_json_config_builds_a_model_or_raises_a_dereverb_error(case):
     assert models.config_to_dict(model.config) == config
 
 
-CKPT_META = {"kind": "rir", "config": {}, "epoch": 1,
-             "adam": {"t": 1, "lr": 1e-3, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
-             "rng_state": {"state": {}}}
+RNG_STATE = np.random.default_rng(0).bit_generator.state
+CKPT_META = {"kind": "rir", "config": {}, "epoch": 1, "step": 1, "rng_state": RNG_STATE}
 fuzz_values = json_values | st.integers() | st.floats()
+
+
+def fuzzed(draw, value):
+    """`value` mostly as given, else any JSON value or, for an object, the
+    object with one entry fuzzed the same way."""
+    change = draw(mostly(st.just("none"), st.sampled_from(["any", "entry"])))
+    if change == "none":
+        return value
+    if change == "any" or not isinstance(value, dict) or not value:
+        return draw(fuzz_values)
+    key = draw(st.sampled_from(sorted(value)))
+    return {**value, key: fuzzed(draw, value[key])}
 
 
 @st.composite
 def checkpoint_files(draw):
     """Checkpoint bytes from fuzzed fields: magic, version, metadata length,
-    each metadata value and each tensor entry mostly as `save_checkpoint`
-    writes them, else anything; tensor data of the size the entries imply,
-    else any length."""
+    each metadata value (the RNG state's entries too) and each tensor shape
+    mostly as `save_checkpoint` writes them, else anything; tensor data of
+    the size the shapes imply, else any length."""
     magic = draw(mostly(st.just(trainer.CKPT_MAGIC), st.binary(min_size=4, max_size=4)))
     version = draw(mostly(st.just(trainer.CKPT_VERSION), u32))
     shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=3))
-    meta = {key: draw(mostly(st.just(value), fuzz_values))
-            for key, value in CKPT_META.items()}
-    if isinstance(meta["adam"], dict):
-        meta["adam"] = {key: draw(mostly(st.just(value), fuzz_values))
-                        for key, value in meta["adam"].items()}
-    meta["tensors"] = [{"name": draw(mostly(st.just(f"p.t{i}"), fuzz_values)),
-                        "shape": draw(mostly(st.just(shape), fuzz_values))}
-                       for i, shape in enumerate(shapes)]
+    meta = {key: fuzzed(draw, value) for key, value in CKPT_META.items()}
+    tensors = {f"p.t{i}": draw(mostly(st.just(shape), fuzz_values))
+               for i, shape in enumerate(shapes)}
+    meta["tensors"] = draw(mostly(st.just(tensors), fuzz_values))
     body = json.dumps(meta).encode()
     meta_len = draw(mostly(st.just(len(body)), st.integers(0, 2 ** 64 - 1)))
     count = sum(math.prod(shape) for shape in shapes)
@@ -490,10 +522,8 @@ def test_any_checkpoint_bytes_load_well_typed_or_raise_a_dereverb_error(tmp_path
     except DereverbError:
         return
     assert isinstance(ckpt.kind, str) and isinstance(ckpt.config, dict)
-    assert type(ckpt.epoch) is int and isinstance(ckpt.rng_state, dict)
-    assert ckpt.adam.keys() == set(trainer.ADAM_STATE) and type(ckpt.adam["t"]) is int
-    assert all(type(v) is int or (type(v) is float and math.isfinite(v))
-               for key, v in ckpt.adam.items() if key != "t")
+    assert type(ckpt.epoch) is int and type(ckpt.step) is int
+    np.random.default_rng().bit_generator.state = ckpt.rng_state
     assert all(isinstance(name, str) and arr.dtype == np.float32
                for name, arr in ckpt.tensors.items())
 
