@@ -436,7 +436,7 @@ def load_manifest(path) -> CorpusManifest:
             continue
         try:
             obj = json.loads(line.decode("utf-8"))
-        except ValueError as exc:  # bad UTF-8 or bad JSON
+        except (ValueError, RecursionError) as exc:  # bad UTF-8, bad JSON, nested too deep
             raise ParseError(str(exc), line=lineno) from exc
         if not isinstance(obj, dict):
             raise ParseError("expected a JSON object", line=lineno)

@@ -114,10 +114,6 @@ class WrongFrameCount(DereverbError):
 
 
 # --- training ---
-class KindMismatch(DereverbError):
-    """Checkpoint was produced by a different model kind."""
-
-
 class NonFiniteLoss(DereverbError):
     """A loss component became NaN or infinite."""
 

@@ -10,12 +10,11 @@ one thread (OPENBLAS_NUM_THREADS=1; more threads may change GEMM summation
 order and so the bytes): initialization and epoch shuffles draw from named
 streams of the master seed, batches accumulate gradients in a fixed order,
 and the log records every loss component per epoch. Every training setting
-lives in `TrainConfig`; a checkpoint (format v3) keeps only what a resume
-cannot recompute: the model kind and config, the epoch and Adam step counts,
-the shuffle RNG, and the parameters and Adam moments, all float32 as
-training holds them. A resume takes its learning rate and loss weights from
-its own `TrainConfig`, so at the first run's settings it continues the same
-trajectory exactly.
+lives in `TrainConfig`. A run starts from a fresh model; a checkpoint
+(format v4) is a snapshot of the model after an epoch: its kind and config,
+the epoch, and the parameters as float32, as training holds them. The
+optimizer's state is not kept, so a checkpoint is for scoring, not for
+continuing a run.
 
 A batch accumulates gradients one example at a time, and each example's
 backward pass frees that example's graph as it walks it, so training holds
@@ -37,7 +36,6 @@ from . import corpus, models
 from .autodiff import no_grad
 from .errors import (
     EmptySplit,
-    KindMismatch,
     NonFiniteLoss,
     ParseError,
     VersionMismatch,
@@ -47,7 +45,7 @@ from .nn import Adam
 from .seeding import rng_for
 
 CKPT_MAGIC = b"DRVB"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 VAL_LIMIT = 32  # validation examples scored per epoch
 
 
@@ -83,10 +81,8 @@ class TrainConfig:
 class Checkpoint:
     kind: str
     config: dict
-    epoch: int
-    step: int                       # Adam steps taken
-    rng_state: dict
-    tensors: dict = field(default_factory=dict)  # name -> ndarray; name -> shape on file
+    epoch: int                      # epochs trained, at least 1
+    tensors: dict = field(default_factory=dict)  # parameter name -> ndarray (shape on file)
 
 
 # ---------------------------------------------------------------------------
@@ -100,7 +96,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
     names = sorted(ckpt.tensors)
     meta = json.dumps({
         "kind": ckpt.kind, "config": ckpt.config, "epoch": ckpt.epoch,
-        "step": ckpt.step, "rng_state": ckpt.rng_state,
         "tensors": {name: list(ckpt.tensors[name].shape) for name in names},
     }, sort_keys=True).encode()
     with corpus.replacing(path) as fh:
@@ -126,13 +121,11 @@ def load_checkpoint(path) -> Checkpoint:
         raise ParseError(f"{path}: truncated metadata")
     try:
         meta = json.loads(raw[16:16 + meta_len])
-    except ValueError as exc:   # not UTF-8 or not JSON
+    except (ValueError, RecursionError) as exc:   # not UTF-8, not JSON, or nested too deep
         raise ParseError(f"{path}: bad metadata: {exc}") from exc
     require_record(meta, Checkpoint, f"{path}: metadata")
-    try:   # the state `train` will give its shuffle generator
-        np.random.default_rng().bit_generator.state = meta["rng_state"]
-    except (TypeError, ValueError, KeyError, OverflowError) as exc:
-        raise ParseError(f"{path}: bad rng_state: {exc}") from exc
+    if meta["epoch"] < 1:
+        raise ParseError(f"{path}: epoch must be at least 1, got {meta['epoch']}")
     tensors = {}
     offset = 16 + meta_len
     for name in sorted(meta["tensors"]):
@@ -151,41 +144,27 @@ def load_checkpoint(path) -> Checkpoint:
     return Checkpoint(**{**meta, "tensors": tensors})
 
 
-def checkpoint_from_state(model, opt: Adam, epoch: int, shuffle_rng) -> Checkpoint:
-    tensors = {}
-    for (name, p), m, v in zip(model.params(), opt.m, opt.v):
-        tensors["p." + name] = p.data.astype(np.float32)
-        tensors["m." + name] = m.astype(np.float32)
-        tensors["v." + name] = v.astype(np.float32)
+def checkpoint_from_model(model, epoch: int) -> Checkpoint:
+    """A float32 snapshot of `model`'s parameters after `epoch` epochs."""
     return Checkpoint(
         kind=model.kind, config=models.config_to_dict(model.config), epoch=epoch,
-        step=opt.t, rng_state=shuffle_rng.bit_generator.state,
-        tensors=tensors)
-
-
-def _stored(ckpt: Checkpoint, key, like: np.ndarray) -> np.ndarray:
-    """Checkpoint tensor `key` in the dtype of `like`, whose shape it must have."""
-    stored = ckpt.tensors.get(key)
-    if stored is None or stored.shape != like.shape:
-        raise ParseError(f"checkpoint tensor {key!r} is missing or not of shape {like.shape}")
-    return stored.astype(like.dtype)
+        tensors={name: p.data.astype(np.float32) for name, p in model.params()})
 
 
 def restore_model(ckpt: Checkpoint):
     """Rebuild the model and overwrite its parameters from the checkpoint, in
     the engine's precision (float64 unless inside `autodiff.precision`)."""
     model = models.build_model_from_config(ckpt.kind, ckpt.config)
+    odd = sorted(ckpt.tensors.keys() ^ {name for name, _ in model.params()})
+    if odd:
+        raise ParseError(f"checkpoint tensors {odd} do not match the parameters of a "
+                         f"{ckpt.kind!r} model")
     for name, p in model.params():
-        p.data = _stored(ckpt, "p." + name, p.data)
+        stored = ckpt.tensors[name]
+        if stored.shape != p.data.shape:
+            raise ParseError(f"checkpoint tensor {name!r} is not of shape {p.data.shape}")
+        p.data = stored.astype(p.data.dtype)
     return model
-
-
-def _restore_optimizer(model, ckpt: Checkpoint, lr) -> Adam:
-    opt = Adam([p for _, p in model.params()], lr=lr)
-    opt.t = ckpt.step
-    opt.m = [_stored(ckpt, "m." + name, p.data) for name, p in model.params()]
-    opt.v = [_stored(ckpt, "v." + name, p.data) for name, p in model.params()]
-    return opt
 
 
 # ---------------------------------------------------------------------------
@@ -215,46 +194,30 @@ def _component_values(parts):
 # ---------------------------------------------------------------------------
 
 def train(config: TrainConfig, train_examples, val_examples=(),
-          start: Checkpoint | None = None, checkpoint_path=None,
-          log_path=None):
-    """Run the epoch loop in float32 and return (model, rows, final checkpoint).
+          checkpoint_path=None, log_path=None):
+    """Train a fresh model in float32 and return (model, rows, final checkpoint).
 
     Rows are (epoch, split, total, l_dry, l_rir, l_rec) with one train row
-    per epoch and one val row when validation examples are given. `start`
-    resumes from a checkpoint: parameters, Adam moments and step count,
-    shuffle RNG, and the epoch counter continue where they left off, while
-    the learning rate and loss weights come from `config`. A non-finite loss, or a
-    non-finite gradient before an Adam step, raises `NonFiniteLoss`. The
-    returned model holds float64 parameters equal to the checkpoint's, so it
-    scores exactly as `restore_model(final)` does.
+    per epoch, from epoch 1, and one val row when validation examples are
+    given. Given a `checkpoint_path`, the model is written there every
+    `checkpoint_every` epochs and after the last, so a run that stops early
+    leaves its last snapshot there. A non-finite loss, or a non-finite
+    gradient before an Adam step, raises `NonFiniteLoss`. The returned model
+    holds float64 parameters equal to the checkpoint's, so it scores exactly
+    as `restore_model(final)` does.
     """
     if not train_examples:
         raise EmptySplit("no training examples")
-    if start is not None:
-        if start.kind != config.model:
-            raise KindMismatch(
-                f"checkpoint holds {start.kind!r}, config wants {config.model!r}")
-        if config.epochs <= start.epoch:
-            raise ValueError(f"epochs must be at least {start.epoch + 1} "
-                             f"to resume after epoch {start.epoch}")
 
     with ad.precision(np.float32):
-        if start is not None:
-            model = restore_model(start)
-            opt = _restore_optimizer(model, start, config.lr)
-            shuffle_rng = np.random.default_rng()
-            shuffle_rng.bit_generator.state = start.rng_state
-            first_epoch = start.epoch + 1
-        else:
-            model = models.build_model(config.model, scale=config.scale,
-                                       rng=rng_for(config.seed, "init"))
-            opt = Adam([p for _, p in model.params()], lr=config.lr)
-            shuffle_rng = rng_for(config.seed, "shuffle")
-            first_epoch = 1
+        model = models.build_model(config.model, scale=config.scale,
+                                   rng=rng_for(config.seed, "init"))
         named = model.params()
+        opt = Adam([p for _, p in named], lr=config.lr)
+        shuffle_rng = rng_for(config.seed, "shuffle")
 
         rows = []
-        for epoch in range(first_epoch, config.epochs + 1):
+        for epoch in range(1, config.epochs + 1):
             order = shuffle_rng.permutation(len(train_examples))
             epoch_sum = np.zeros(4)
             for lo in range(0, len(order), config.batch_size):
@@ -285,11 +248,9 @@ def train(config: TrainConfig, train_examples, val_examples=(),
 
             if checkpoint_path and config.checkpoint_every \
                     and epoch % config.checkpoint_every == 0:
-                save_checkpoint(
-                    checkpoint_from_state(model, opt, epoch, shuffle_rng),
-                    checkpoint_path)
+                save_checkpoint(checkpoint_from_model(model, epoch), checkpoint_path)
 
-        final = checkpoint_from_state(model, opt, config.epochs, shuffle_rng)
+        final = checkpoint_from_model(model, config.epochs)
     for _, p in named:
         p.data = p.data.astype(np.float64)
     if checkpoint_path:

@@ -6,10 +6,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from dereverb import cli, corpus, dsp, models, nn, trainer
+from dereverb import cli, corpus, dsp, models, trainer
 from dereverb.errors import VersionMismatch
 from conftest import make_dry_clip, make_rir_clip
-from test_trainer import poison_a_gradient
+from test_trainer import DEEP_JSON, poison_a_gradient
 
 
 @pytest.fixture
@@ -472,8 +472,7 @@ def test_info_fresh_model_of_each_kind(kind, capsys):
 
 def test_info_malformed_checkpoint_config_exits_2(tmp_path, capsys):
     model = models.build_tiny_model("joint", np.random.default_rng(0))
-    opt = nn.Adam([p for _, p in model.params()])
-    ckpt = trainer.checkpoint_from_state(model, opt, 1, np.random.default_rng(0))
+    ckpt = trainer.checkpoint_from_model(model, 1)
     del ckpt.config["hidden"]
     trainer.save_checkpoint(ckpt, tmp_path / "m.ckpt")
     assert run(["info", "--ckpt", str(tmp_path / "m.ckpt")]) == 2
@@ -483,42 +482,54 @@ def test_info_malformed_checkpoint_config_exits_2(tmp_path, capsys):
 def test_info_malformed_checkpoint_tensor_entry_exits_2(tmp_path, capsys):
     from test_trainer import rewrite_metadata
     model = models.build_tiny_model("rir", np.random.default_rng(0))
-    opt = nn.Adam([p for _, p in model.params()])
-    ckpt = trainer.checkpoint_from_state(model, opt, 1, np.random.default_rng(0))
     path = tmp_path / "m.ckpt"
-    trainer.save_checkpoint(ckpt, path)
-    rewrite_metadata(path, lambda meta: meta["tensors"].update({"p.conv0.bias": [-1]}))
+    trainer.save_checkpoint(trainer.checkpoint_from_model(model, 1), path)
+    rewrite_metadata(path, lambda meta: meta["tensors"].update({"conv0.bias": [-1]}))
     assert run(["info", "--ckpt", str(path)]) == 2
-    assert "tensor 'p.conv0.bias': bad shape [-1]" in capsys.readouterr().err
+    assert "tensor 'conv0.bias': bad shape [-1]" in capsys.readouterr().err
 
 
-def test_info_version_1_checkpoint_exits_2(tmp_path, capsys):
-    model = models.build_tiny_model("rir", np.random.default_rng(0))
-    opt = nn.Adam([p for _, p in model.params()])
+# each former format's metadata, with one small tensor: v1 and v2 keep Adam's
+# settings in an `adam` object and list the tensors, v3 adds `step` and
+# `rng_state`; all three prefix parameters and moments with p., m. and v.
+RNG_STATE = np.random.default_rng(0).bit_generator.state
+ADAM = {"t": 1, "lr": 1e-4, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8}
+FORMER_METADATA = {
+    1: {"kind": "rir", "config": {}, "epoch": 1, "adam": ADAM, "rng_state": RNG_STATE,
+        "tensors": [{"name": "p.w", "shape": [2], "dtype": "f4"}]},
+    2: {"kind": "rir", "config": {}, "epoch": 1, "adam": ADAM, "rng_state": RNG_STATE,
+        "tensors": [{"name": "p.w", "shape": [2]}]},
+    3: {"kind": "rir", "config": {}, "epoch": 1, "step": 1, "rng_state": RNG_STATE,
+        "tensors": {"p.w": [2], "m.w": [2], "v.w": [2]}},
+}
+
+
+@pytest.mark.parametrize("version", sorted(FORMER_METADATA))
+def test_info_former_checkpoint_version_exits_2(tmp_path, capsys, version):
+    meta = json.dumps(FORMER_METADATA[version], sort_keys=True).encode()
     path = tmp_path / "m.ckpt"
-    trainer.save_checkpoint(trainer.checkpoint_from_state(model, opt, 1,
-                                                          np.random.default_rng(0)), path)
-    raw = bytearray(path.read_bytes())
-    raw[4:8] = (1).to_bytes(4, "little")
-    path.write_bytes(bytes(raw))
-    assert run(["info", "--ckpt", str(path)]) == 2
-    assert "checkpoint version 1" in capsys.readouterr().err
-
-
-def test_info_version_2_checkpoint_exits_2(tmp_path, capsys):
-    # the format-2 layout: Adam's settings in the metadata, tensors as a list
-    meta = json.dumps({
-        "kind": "rir", "config": models.config_to_dict(models.RirEstimatorConfig()),
-        "epoch": 1, "adam": {"t": 1, "lr": 1e-4, "beta1": 0.9, "beta2": 0.999, "eps": 1e-8},
-        "rng_state": np.random.default_rng(0).bit_generator.state,
-        "tensors": [{"name": "p.w", "shape": [2]}]}, sort_keys=True).encode()
-    path = tmp_path / "m.ckpt"
-    path.write_bytes(struct.pack("<4sIQ", trainer.CKPT_MAGIC, 2, len(meta)) + meta
-                     + bytes(8))
+    path.write_bytes(struct.pack("<4sIQ", trainer.CKPT_MAGIC, version, len(meta)) + meta
+                     + bytes(24))
     with pytest.raises(VersionMismatch):
         trainer.load_checkpoint(path)
     assert run(["info", "--ckpt", str(path)]) == 2
-    assert "checkpoint version 2" in capsys.readouterr().err
+    assert f"checkpoint version {version}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("body", DEEP_JSON, ids=["objects", "lists"])
+def test_deeply_nested_checkpoint_or_manifest_exits_2(tmp_path, capsys, body):
+    path = tmp_path / "m.ckpt"
+    path.write_bytes(struct.pack("<4sIQ", trainer.CKPT_MAGIC, trainer.CKPT_VERSION,
+                                 len(body)) + body)
+    assert run(["info", "--ckpt", str(path)]) == 2
+    assert "bad metadata" in capsys.readouterr().err
+    manifest = tmp_path / "m.jsonl"
+    manifest.write_bytes(json.dumps({"version": corpus.MANIFEST_VERSION}).encode()
+                         + b"\n" + body + b"\n")
+    (tmp_path / "dry").mkdir()
+    assert run(["synth", "--manifest", str(manifest), "--dry-dir", str(tmp_path / "dry"),
+                "--out-dir", str(tmp_path / "out")]) == 2
+    assert "line 2" in capsys.readouterr().err
 
 
 def test_info_cache_file_is_not_a_checkpoint(tmp_path, capsys):

@@ -22,6 +22,7 @@ from dereverb.errors import (
 )
 from conftest import make_dry_clip, make_rir_clip
 from test_dsp import mostly, u32
+from test_trainer import DEEP_JSON
 
 
 def fake_records(sizes):
@@ -418,7 +419,8 @@ def test_manifest_parse_error_carries_line(tmp_path):
     for bad in [b'this is not json',
                 b'{"kind": "pair", "dry_path": "d", "rir_id": "a", "seed": 1, "extra": 0}',
                 b'{"kind": "pair", "dry_path": "d", "rir_id": "a"}',
-                b'{"kind": "pair", "dry_path": "d\xff", "rir_id": "a", "seed": 1}']:
+                b'{"kind": "pair", "dry_path": "d\xff", "rir_id": "a", "seed": 1}',
+                *DEEP_JSON]:
         path.write_bytes(b'{"version": 1}\n{"kind": "rir", "id": "a", "path": "p", '
                          b'"group_key": "g", "split": "train", "duration_s": 1.0}\n'
                          + bad + b'\n')
@@ -486,11 +488,11 @@ json_anything = json_scalars | st.lists(json_scalars, max_size=2) \
 def manifest_files(draw):
     """Manifest bytes from fuzzed lines: the header, then records whose kind,
     keys and field values are mostly as `save_manifest` writes them, else
-    anything JSON can hold."""
+    anything JSON can hold, or now and then a line nested too deep to parse."""
     header = draw(mostly(st.just({"version": corpus.MANIFEST_VERSION}),
                          st.dictionaries(st.just("version") | st.text(max_size=3),
                                          json_anything, max_size=2)))
-    lines = [header]
+    lines = [json.dumps(header).encode()]
     for _ in range(draw(st.integers(0, 3))):
         kind = draw(mostly(st.sampled_from(sorted(corpus.RECORD_KINDS)), json_anything))
         cls, _ = corpus.RECORD_KINDS.get(kind if isinstance(kind, str) else "",
@@ -504,8 +506,10 @@ def manifest_files(draw):
             record[f.name] = draw(mostly(usual, json_anything))
         if draw(st.integers(0, 7)) == 0:
             record.pop(draw(st.sampled_from(sorted(record))))
-        lines.append(record)
-    return b"".join(json.dumps(line).encode() + b"\n" for line in lines)
+        lines.append(json.dumps(record).encode())
+        if draw(st.integers(0, 7)) == 0:
+            lines.append(draw(st.sampled_from(DEEP_JSON)))
+    return b"".join(line + b"\n" for line in lines)
 
 
 def is_finite_number(value):
@@ -569,8 +573,8 @@ def write_example(path, variant):
 
 def write_checkpoint(path, variant):
     trainer.save_checkpoint(trainer.Checkpoint(
-        kind="rir", config={}, epoch=variant, step=variant, rng_state={},
-        tensors={"p.w": np.full(3, float(variant))}), path)
+        kind="rir", config={}, epoch=variant, tensors={"w": np.full(3, float(variant))}),
+        path)
 
 
 def write_training_log(path, variant):

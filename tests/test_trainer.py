@@ -14,7 +14,6 @@ from dereverb import autodiff as ad
 from dereverb import corpus, evaluation, models, nn, trainer
 from dereverb.errors import (
     DereverbError,
-    KindMismatch,
     NonFiniteLoss,
     ParseError,
     VersionMismatch,
@@ -151,8 +150,8 @@ def test_train_computes_in_float32_and_returns_float64(monkeypatch, tiny_models)
                                     tiny_examples(1, seed=9))
     assert seen == {np.dtype(np.float32)}
     assert {p.data.dtype for _, p in model.params()} == {np.dtype(np.float64)}
-    assert {a.dtype.char for name, a in final.tensors.items()
-            if not name.startswith("p.")} == {"f"}
+    assert final.tensors.keys() == {name for name, _ in model.params()}
+    assert {a.dtype.char for a in final.tensors.values()} == {"f"}
 
 
 @pytest.mark.parametrize("kind", models.MODEL_KINDS)
@@ -203,25 +202,30 @@ def test_non_finite_loss_aborts(tiny_models):
     assert "example 0" in str(err.value)
 
 
-def poison_a_gradient(monkeypatch, pick):
-    """Make every backward pass leave a NaN in the gradient of the parameter
-    `pick(model.params())` of the model `train` builds, and fail any Adam
-    step; returns that parameter's name once a model is built."""
-    built = []
+def poison_a_gradient(monkeypatch, pick, clean=0):
+    """Make every backward pass after the first `clean` leave a NaN in the
+    gradient of the parameter `pick(model.params())` of the model `train`
+    builds, and fail any Adam step after the first poisoned pass; returns
+    that parameter's name once a model is built."""
+    built, passes = [], []
     build = models.build_model
     monkeypatch.setattr(models, "build_model",
                         lambda *a, **kw: built.append(build(*a, **kw)) or built[-1])
-    backward = ad.backward
+    backward, step = ad.backward, nn.Adam.step
 
     def poisoned(loss):
         backward(loss)
-        pick(built[0].params())[1].grad.flat[0] = np.nan
+        passes.append(None)
+        if len(passes) > clean:
+            pick(built[0].params())[1].grad.flat[0] = np.nan
 
-    def no_step(self):
-        raise AssertionError("Adam stepped on a non-finite gradient")
+    def guarded_step(self):
+        if len(passes) > clean:
+            raise AssertionError("Adam stepped on a non-finite gradient")
+        step(self)
 
     monkeypatch.setattr(ad, "backward", poisoned)
-    monkeypatch.setattr(nn.Adam, "step", no_step)
+    monkeypatch.setattr(nn.Adam, "step", guarded_step)
     return lambda: pick(built[0].params())[0]
 
 
@@ -231,6 +235,34 @@ def test_non_finite_gradient_aborts_before_the_step(monkeypatch, tiny_models, ki
     with pytest.raises(NonFiniteLoss) as err:
         trainer.train(tiny_config(model=kind, epochs=1), tiny_examples(2))
     assert str(err.value) == f"epoch 1: gradient of {name()} is not finite"
+
+
+def test_periodic_checkpoint_keeps_the_last_good_epoch(tmp_path, monkeypatch, tiny_models):
+    """A run that stops with `NonFiniteLoss` leaves the snapshot of its last
+    completed checkpoint epoch, which restores and scores."""
+    examples = tiny_examples(2)
+    manifest = corpus.CorpusManifest(
+        rirs=[corpus.RirRecord("r", "r.wav", "g", split="test")],
+        pairs=[corpus.PairRecord(f"d{i}.wav", "r", i) for i in range(2)])
+    for pair, ex in zip(manifest.pairs, examples):
+        corpus.save_example(ex, tmp_path / corpus.pair_cache_name(pair))
+    _, _, epoch_1 = trainer.train(tiny_config(epochs=1), examples)
+
+    path = tmp_path / "m.ckpt"
+    name = poison_a_gradient(monkeypatch, lambda params: params[-3], clean=2)
+    with pytest.raises(NonFiniteLoss) as err:   # batch 2: epoch 1 is two passes
+        trainer.train(tiny_config(epochs=3, checkpoint_every=1), examples,
+                      checkpoint_path=path)
+    assert str(err.value) == f"epoch 2: gradient of {name()} is not finite"
+
+    ckpt = trainer.load_checkpoint(path)
+    assert ckpt.epoch == 1
+    assert ckpt.tensors.keys() == epoch_1.tensors.keys()
+    for key, arr in epoch_1.tensors.items():
+        assert np.array_equal(ckpt.tensors[key], arr), key
+    assert trainer.restore_model(ckpt).kind == "joint"
+    assert evaluation.evaluate(ckpt, manifest, "test", tmp_path).rows == \
+        evaluation.evaluate(epoch_1, manifest, "test", tmp_path).rows
 
 
 def test_config_validation():
@@ -297,64 +329,6 @@ def test_checkpoint_forward_reproducible(tmp_path, tiny_models):
     np.testing.assert_array_equal(live[1].data, a[1].data)
 
 
-@pytest.mark.parametrize("kind", models.MODEL_KINDS)
-def test_resume_matches_uninterrupted_run(tmp_path, tiny_models, kind):
-    examples = tiny_examples(3)
-    _, full, _ = trainer.train(tiny_config(model=kind, epochs=6), examples,
-                               checkpoint_path=tmp_path / "full.ckpt")
-
-    half = tmp_path / "half.ckpt"
-    trainer.train(tiny_config(model=kind, epochs=3), examples, checkpoint_path=half)
-    _, resumed, _ = trainer.train(tiny_config(model=kind, epochs=6), examples,
-                                  start=trainer.load_checkpoint(half),
-                                  checkpoint_path=tmp_path / "resumed.ckpt")
-
-    assert resumed == full[3:]
-    a = trainer.load_checkpoint(tmp_path / "full.ckpt")
-    b = trainer.load_checkpoint(tmp_path / "resumed.ckpt")
-    assert a.tensors.keys() == b.tensors.keys()
-    for name, arr in a.tensors.items():
-        assert np.array_equal(arr, b.tensors[name]), name
-    assert (tmp_path / "full.ckpt").read_bytes() == (tmp_path / "resumed.ckpt").read_bytes()
-
-
-@pytest.mark.parametrize("kind", models.MODEL_KINDS)
-def test_resume_takes_the_learning_rate_of_its_config(tmp_path, tiny_models, kind):
-    path = tmp_path / "m.ckpt"
-    _, _, start = trainer.train(tiny_config(model=kind, epochs=1), tiny_examples(3),
-                                checkpoint_path=path)
-    _, _, final = trainer.train(tiny_config(model=kind, epochs=2, lr=0.0), tiny_examples(3),
-                                start=trainer.load_checkpoint(path))
-    assert final.step == start.step + 2   # one epoch: batches of two and one
-    for name, arr in start.tensors.items():
-        if name.startswith("p."):
-            assert np.array_equal(final.tensors[name], arr), name
-
-
-def test_resume_kind_mismatch(tmp_path, tiny_models):
-    examples = tiny_examples(1)
-    path = tmp_path / "m.ckpt"
-    trainer.train(tiny_config(model="joint", epochs=1), examples,
-                  checkpoint_path=path)
-    ckpt = trainer.load_checkpoint(path)
-    with pytest.raises(KindMismatch):
-        trainer.train(tiny_config(model="rir", epochs=2), examples, start=ckpt)
-
-
-@pytest.mark.parametrize("epochs", [2, 3])
-def test_resume_rejects_epochs_already_done(tmp_path, tiny_models, monkeypatch, epochs):
-    path = tmp_path / "m.ckpt"
-    trainer.train(tiny_config(epochs=3), tiny_examples(1), checkpoint_path=path)
-    ckpt = trainer.load_checkpoint(path)
-
-    def no_build(*args, **kwargs):
-        raise AssertionError("a model was built")
-
-    monkeypatch.setattr(models, "build_model_from_config", no_build)
-    with pytest.raises(ValueError, match="epochs must be at least 4"):
-        trainer.train(tiny_config(epochs=epochs), tiny_examples(1), start=ckpt)
-
-
 def test_checkpoint_rejects_truncation(tmp_path, tiny_models):
     path = tmp_path / "m.ckpt"
     trainer.train(tiny_config(epochs=1), tiny_examples(1), checkpoint_path=path)
@@ -396,7 +370,7 @@ def set_first_shape(meta, shape):
     lambda meta: meta["config"].update(hidden="64"),
     lambda meta: meta["config"].update(rir_layers=[[1, 1]]),
     lambda meta: meta.update(kind="nope"),
-    lambda meta: meta.pop("step"),
+    lambda meta: meta.update(step=1),
     lambda meta: meta.update(adam={"t": 1, "lr": 1e-3}),
     lambda meta: set_first_shape(meta, {"name": "p.x", "shape": [1]}),
     lambda meta: meta.update(tensors=3),
@@ -405,18 +379,18 @@ def set_first_shape(meta, shape):
     lambda meta: set_first_shape(meta, [0] * 70),
     lambda meta: meta.update(epoch="1"),
     lambda meta: meta.update(epoch=True),
+    lambda meta: meta.update(epoch=0),
+    lambda meta: meta.update(epoch=-1),
     lambda meta: meta.update(config=[]),
-    lambda meta: meta.update(rng_state=None),
-    lambda meta: meta.update(rng_state={"state": {}}),
-    lambda meta: meta["rng_state"]["state"].update(state=2 ** 128),
-    lambda meta: meta["rng_state"]["state"].update(inc="1"),
-    lambda meta: meta.update(step=1.5),
-    lambda meta: meta.update(step=True),
+    lambda meta: meta["tensors"].update(zz=[0]),
+    lambda meta: meta["tensors"].pop(max(meta["tensors"])),
+    lambda meta: meta.update(tensors={"p." + name: shape
+                                      for name, shape in meta["tensors"].items()}),
 ], ids=["missing-key", "extra-key", "bad-type", "bad-layer", "unknown-kind",
-        "no-step", "adam-key", "tensor-shape-not-list", "tensors-not-object",
+        "step-key", "adam-key", "tensor-shape-not-list", "tensors-not-object",
         "tensor-negative-shape", "tensor-shape", "tensor-too-many-axes", "epoch-str",
-        "epoch-bool", "config-not-object", "rng-state-null", "rng-state-not-pcg64",
-        "rng-state-overflow", "rng-state-inc-str", "step-float", "step-bool"])
+        "epoch-bool", "epoch-zero", "epoch-negative", "config-not-object",
+        "extra-tensor", "missing-tensor", "v3-tensor-names"])
 def test_malformed_checkpoint_metadata_is_a_parse_error(tmp_path, tiny_models, edit):
     path = tmp_path / "m.ckpt"
     trainer.train(tiny_config(epochs=1), tiny_examples(1), checkpoint_path=path)
@@ -426,6 +400,10 @@ def test_malformed_checkpoint_metadata_is_a_parse_error(tmp_path, tiny_models, e
     rewrite_metadata(path, edit)
     with pytest.raises(ParseError):
         trainer.restore_model(trainer.load_checkpoint(path))
+
+
+# JSON nested past the interpreter's recursion limit
+DEEP_JSON = (b'{"a":' * 100_000, b'{"a":' + b"[" * 100_000)
 
 
 def json_containers(inner):
@@ -474,8 +452,7 @@ def test_any_json_config_builds_a_model_or_raises_a_dereverb_error(case):
     assert models.config_to_dict(model.config) == config
 
 
-RNG_STATE = np.random.default_rng(0).bit_generator.state
-CKPT_META = {"kind": "rir", "config": {}, "epoch": 1, "step": 1, "rng_state": RNG_STATE}
+CKPT_META = {"kind": "rir", "config": {}, "epoch": 1}
 fuzz_values = json_values | st.integers() | st.floats()
 
 
@@ -494,17 +471,17 @@ def fuzzed(draw, value):
 @st.composite
 def checkpoint_files(draw):
     """Checkpoint bytes from fuzzed fields: magic, version, metadata length,
-    each metadata value (the RNG state's entries too) and each tensor shape
-    mostly as `save_checkpoint` writes them, else anything; tensor data of
-    the size the shapes imply, else any length."""
+    each metadata value and each tensor shape mostly as `save_checkpoint`
+    writes them, else anything; metadata now and then nested too deep to
+    parse; tensor data of the size the shapes imply, else any length."""
     magic = draw(mostly(st.just(trainer.CKPT_MAGIC), st.binary(min_size=4, max_size=4)))
     version = draw(mostly(st.just(trainer.CKPT_VERSION), u32))
     shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=3))
     meta = {key: fuzzed(draw, value) for key, value in CKPT_META.items()}
-    tensors = {f"p.t{i}": draw(mostly(st.just(shape), fuzz_values))
+    tensors = {f"t{i}": draw(mostly(st.just(shape), fuzz_values))
                for i, shape in enumerate(shapes)}
     meta["tensors"] = draw(mostly(st.just(tensors), fuzz_values))
-    body = json.dumps(meta).encode()
+    body = draw(mostly(st.just(json.dumps(meta).encode()), st.sampled_from(DEEP_JSON)))
     meta_len = draw(mostly(st.just(len(body)), st.integers(0, 2 ** 64 - 1)))
     count = sum(math.prod(shape) for shape in shapes)
     data = draw(mostly(st.just(bytes(4 * count)), st.binary(max_size=64)))
@@ -522,8 +499,7 @@ def test_any_checkpoint_bytes_load_well_typed_or_raise_a_dereverb_error(tmp_path
     except DereverbError:
         return
     assert isinstance(ckpt.kind, str) and isinstance(ckpt.config, dict)
-    assert type(ckpt.epoch) is int and type(ckpt.step) is int
-    np.random.default_rng().bit_generator.state = ckpt.rng_state
+    assert type(ckpt.epoch) is int and ckpt.epoch >= 1
     assert all(isinstance(name, str) and arr.dtype == np.float32
                for name, arr in ckpt.tensors.items())
 
