@@ -14,7 +14,6 @@ it, and writes each example as soon as it is mixed.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from itertools import groupby
@@ -23,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from . import autodiff as ad
-from . import corpus, evaluation, models, nn, trainer
+from . import corpus, dsp, evaluation, models, nn, trainer
 from .errors import (
     DereverbError,
     IoFailure,
@@ -90,9 +89,7 @@ def build_parser() -> _Parser:
     p.add_argument("--split", default="train",
                    choices=["train", "val", "test"])
     p.add_argument("--out-dir", required=True)
-    # a string default: argparse converts it only when synth runs
-    p.add_argument("--threads", type=int,
-                   default=os.environ.get("DEREVERB_THREADS", "1"),
+    p.add_argument("--threads", type=int, default=1,
                    help="worker threads, at least 1; one dry file each")
     _add_seed(p)
     p.set_defaults(func=cmd_synth)
@@ -268,7 +265,7 @@ def _tiny_loss_example(rng, input_shape, rir_frames):
     rir = rng.uniform(0.0, 1.0, (rir_frames, bins))
     reverb = rng.uniform(0.0, 1.0, (frames, bins))
     return corpus.TrainingExample(
-        input_logmag=np.log(np.maximum(reverb, 1e-5)),
+        input_logmag=dsp.log_magnitude(reverb),
         dry_target_logmag=dry_log, rir_target_mag=rir,
         reverb_target_mag=reverb,
         dry_scale=1.0, rir_scale=1.0, reverb_scale=1.0)

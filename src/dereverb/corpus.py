@@ -3,6 +3,11 @@ dry/RIR pairing, reverberant synthesis, and manifest persistence.
 
 Recordings of the same room configuration share a group key; a group is
 never divided between splits, so validation and test rooms stay unseen.
+
+Every example has the shapes the STFT framing of `dsp` gives its fixed
+lengths: a 5 s clip is INPUT_FRAMES x BINS (313 x 257) and an RIR target
+is RIR_FRAMES x BINS (126 x 257). The model configs default to these
+constants.
 """
 
 from __future__ import annotations
@@ -165,8 +170,12 @@ def split_groups(records, val_target: int = 200, test_target: int = 200,
     whole on whichever of val/test has the largest remaining deficit that
     still fits the group, otherwise train. Largest-first ordering lets the
     single-record groups land on the exact targets; InsufficientData is
-    raised when they cannot.
+    raised when they cannot. A negative count is a ValueError.
     """
+    for name, value in (("val_target", val_target), ("test_target", test_target),
+                        ("cap", cap), ("big_group", big_group)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     rng = np.random.default_rng(seed)
     by_group = defaultdict(list)
     for r in records:
@@ -269,10 +278,6 @@ class Source:
         self.target.setflags(write=False)
 
 
-def _normalized_stft(clip: dsp.AudioClip) -> dsp.MagSpectrogram:
-    return dsp.normalize_spectrogram(dsp.magnitude(dsp.stft(clip)))
-
-
 def prepare_dry(path) -> Source:
     """Read and resample a dry recording; its target is the log spectrogram
     of its first 5 s after leading silence. Delaying the dry signal by a
@@ -282,8 +287,8 @@ def prepare_dry(path) -> Source:
     trimmed, lead = dsp.trim_leading_silence(dry)
     if len(trimmed) == 0:
         raise EmptyAfterTrim(f"{path} is silent")
-    mag = _normalized_stft(dsp.fix_length(trimmed, CLIP_SAMPLES))
-    return Source(dsp.Spectra(dry.samples), lead, dsp.log_magnitude(mag), mag.scale)
+    mag, scale = dsp.normalized_magnitude(dsp.stft(dsp.fix_length(trimmed, CLIP_SAMPLES)))
+    return Source(dsp.Spectra(dry.samples), lead, dsp.log_magnitude(mag), scale)
 
 
 def prepare_rir(record: RirRecord) -> Source:
@@ -294,8 +299,8 @@ def prepare_rir(record: RirRecord) -> Source:
     rir = dsp.resample(dsp.read_wav(record.path), dsp.SAMPLE_RATE)
     onset = dsp.detect_direct_path_delay(rir)
     padded = rir if len(rir) >= RIR_MIN_SAMPLES else dsp.fix_length(rir, RIR_MIN_SAMPLES)
-    mag = _normalized_stft(padded)
-    return Source(dsp.Spectra(rir.samples), onset, mag.mag[:RIR_FRAMES].copy(), mag.scale)
+    mag, scale = dsp.normalized_magnitude(dsp.stft(padded))
+    return Source(dsp.Spectra(rir.samples), onset, mag[:RIR_FRAMES].copy(), scale)
 
 
 def mix(dry: Source, rir: Source) -> TrainingExample:
@@ -303,16 +308,16 @@ def mix(dry: Source, rir: Source) -> TrainingExample:
     target and fixed to 5 s; its spectrogram is the reverberant target and,
     log-compressed, the network input."""
     reverb = dsp.convolve(dry.signal, rir.signal)[dry.shift + rir.shift:]
-    mag = _normalized_stft(dsp.fix_length(dsp.AudioClip(reverb, dsp.SAMPLE_RATE),
-                                          CLIP_SAMPLES))
+    mag, scale = dsp.normalized_magnitude(dsp.stft(
+        dsp.fix_length(dsp.AudioClip(reverb, dsp.SAMPLE_RATE), CLIP_SAMPLES)))
     return TrainingExample(
         input_logmag=dsp.log_magnitude(mag),
         dry_target_logmag=dry.target,
         rir_target_mag=rir.target,
-        reverb_target_mag=mag.mag,
+        reverb_target_mag=mag,
         dry_scale=dry.scale,
         rir_scale=rir.scale,
-        reverb_scale=mag.scale,
+        reverb_scale=scale,
     )
 
 

@@ -3,7 +3,9 @@
 No global state: everything here is safe to call concurrently, and all but
 :class:`Spectra` (one operand's FFTs, behind its own lock) is a pure
 function of its inputs. Waveforms travel as float64 arrays in [-1, 1] inside
-:class:`AudioClip`; spectrograms are [frames x bins] arrays.
+:class:`AudioClip`; spectrograms are plain [frames x bins] arrays at one
+framing, FRAME_LEN-sample Hann frames every HOP samples at SAMPLE_RATE:
+complex from `stft`, magnitudes from `normalized_magnitude`.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .errors import (
     CorruptHeader,
     EmptyAudio,
     IoFailure,
-    NonColaParams,
     UnsupportedFormat,
 )
 
@@ -58,45 +59,6 @@ class AudioClip:
     @property
     def duration_s(self) -> float:
         return len(self.samples) / self.sample_rate
-
-
-@dataclass(frozen=True)
-class ComplexSpectrogram:
-    """Complex STFT, [frames x bins], with the framing that produced it."""
-
-    re: np.ndarray
-    im: np.ndarray
-    frame_len: int
-    hop: int
-
-    def __post_init__(self):
-        if self.re.shape != self.im.shape:
-            raise ValueError("re/im shapes differ")
-        if self.re.shape[1] != self.frame_len // 2 + 1:
-            raise ValueError("bin count must be frame_len/2 + 1")
-        if self.re.shape[0] < 1:
-            raise ValueError("need at least one frame")
-
-    @property
-    def shape(self):
-        return self.re.shape
-
-
-@dataclass(frozen=True)
-class MagSpectrogram:
-    """Non-negative magnitude spectrogram; `scale` is the max divided out
-    (0 while unnormalized)."""
-
-    mag: np.ndarray
-    scale: float = 0.0
-
-    def __post_init__(self):
-        if np.any(self.mag < 0):
-            raise ValueError("magnitudes must be non-negative")
-
-    @property
-    def shape(self):
-        return self.mag.shape
 
 
 # ---------------------------------------------------------------------------
@@ -256,75 +218,62 @@ def _hann_periodic(n: int) -> np.ndarray:
     return 0.5 - 0.5 * np.cos(2.0 * np.pi * np.arange(n) / n)
 
 
-def stft(clip: AudioClip, frame_len: int = FRAME_LEN, hop: int = HOP) -> ComplexSpectrogram:
-    """Hann-windowed STFT with reflect center padding.
+def stft(clip: AudioClip) -> np.ndarray:
+    """Complex Hann-windowed STFT with reflect center padding, [frames x bins].
 
-    Frame count is 1 + floor(len/hop); bins are frame_len/2 + 1.
+    Frame count is 1 + floor(len/HOP); bins are FRAME_LEN/2 + 1.
     """
     x = clip.samples
     if x.size < 1:
         raise ValueError("cannot transform an empty clip")
-    frames = 1 + x.size // hop
-    padded = np.pad(x, frame_len // 2, mode="reflect")
-    window = _hann_periodic(frame_len)
-    strided = np.lib.stride_tricks.sliding_window_view(padded, frame_len)[::hop]
-    spec = np.fft.rfft(strided[:frames] * window, axis=1)
-    return ComplexSpectrogram(spec.real.copy(), spec.imag.copy(), frame_len, hop)
+    frames = 1 + x.size // HOP
+    padded = np.pad(x, FRAME_LEN // 2, mode="reflect")
+    strided = np.lib.stride_tricks.sliding_window_view(padded, FRAME_LEN)[::HOP]
+    return np.fft.rfft(strided[:frames] * _hann_periodic(FRAME_LEN), axis=1)
 
 
-def istft(spec: ComplexSpectrogram, hop: int | None = None,
-          length: int | None = None, sample_rate: int = SAMPLE_RATE) -> AudioClip:
-    """Invert an STFT by windowed overlap-add with exact normalization.
+def istft(spec: np.ndarray, length: int | None = None) -> AudioClip:
+    """Invert `stft` by windowed overlap-add with exact normalization.
 
     `length` trims the result to the original sample count; the default is
-    (frames - 1) * hop, exact whenever the source length was a hop multiple.
+    (frames - 1) * HOP, exact whenever the source length was a HOP multiple.
     """
-    hop = spec.hop if hop is None else hop
-    frame_len = spec.frame_len
-    if hop * 2 != frame_len:
-        raise NonColaParams(f"hop {hop} is not half of frame {frame_len}")
-    frames = spec.re.shape[0]
-    window = _hann_periodic(frame_len)
-    pieces = np.fft.irfft(spec.re + 1j * spec.im, n=frame_len, axis=1) * window
+    frames = spec.shape[0]
+    window = _hann_periodic(FRAME_LEN)
+    pieces = np.fft.irfft(spec, n=FRAME_LEN, axis=1) * window
 
-    total = frame_len + (frames - 1) * hop
+    total = FRAME_LEN + (frames - 1) * HOP
     buf = np.zeros(total)
     wsum = np.zeros(total)
     wsq = window * window
     for t in range(frames):
-        buf[t * hop:t * hop + frame_len] += pieces[t]
-        wsum[t * hop:t * hop + frame_len] += wsq
+        buf[t * HOP:t * HOP + FRAME_LEN] += pieces[t]
+        wsum[t * HOP:t * HOP + FRAME_LEN] += wsq
     out = buf / np.where(wsum > 1e-12, wsum, 1.0)
 
-    pad = frame_len // 2
-    n = (frames - 1) * hop if length is None else length
-    if n > frames * hop:
+    pad = FRAME_LEN // 2
+    n = (frames - 1) * HOP if length is None else length
+    if n > frames * HOP:
         raise ValueError(f"cannot recover {n} samples from {frames} frames")
-    return AudioClip(out[pad:pad + n], sample_rate)
+    return AudioClip(out[pad:pad + n], SAMPLE_RATE)
 
 
 # ---------------------------------------------------------------------------
 # Magnitudes
 # ---------------------------------------------------------------------------
 
-def magnitude(spec: ComplexSpectrogram) -> MagSpectrogram:
-    """Pointwise magnitude sqrt(re^2 + im^2), unnormalized (scale 0)."""
-    return MagSpectrogram(np.hypot(spec.re, spec.im), scale=0.0)
+def normalized_magnitude(spec: np.ndarray):
+    """(magnitude divided by its global max, that max). All-zero input
+    passes through with max 0."""
+    mag = np.hypot(spec.real, spec.imag)
+    peak = float(mag.max())
+    return (mag / peak, peak) if peak else (mag, 0.0)
 
 
-def log_magnitude(mag, floor: float = LOG_FLOOR) -> np.ndarray:
-    """Natural log of the magnitude, floored so silence stays finite."""
-    m = mag.mag if isinstance(mag, MagSpectrogram) else np.asarray(mag, dtype=np.float64)
-    return np.log(np.maximum(m, floor))
-
-
-def normalize_spectrogram(mag: MagSpectrogram) -> MagSpectrogram:
-    """Divide by the global max and record it; all-zero input passes through
-    with scale 0."""
-    peak = float(mag.mag.max()) if mag.mag.size else 0.0
-    if peak == 0.0:
-        return MagSpectrogram(mag.mag.copy(), scale=0.0)
-    return MagSpectrogram(mag.mag / peak, scale=peak)
+def log_magnitude(mag: np.ndarray) -> np.ndarray:
+    """Natural log of the magnitude, floored at LOG_FLOOR so silence stays
+    finite."""
+    return np.log(np.maximum(mag, LOG_FLOOR))
 
 
 # ---------------------------------------------------------------------------

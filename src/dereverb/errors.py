@@ -29,10 +29,6 @@ class IoFailure(DereverbError):
 
 
 # --- signal processing ---
-class NonColaParams(DereverbError):
-    """STFT parameters do not satisfy the overlap-add inversion condition."""
-
-
 class AllZeroRir(DereverbError):
     """Impulse response has no energy; onset undefined."""
 

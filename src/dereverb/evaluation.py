@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import corpus, models, trainer
+from . import corpus, dsp, models, trainer
 from .autodiff import no_grad
 from .errors import EmptySplit, InsufficientDecay, ShapeMismatch, ZeroEnergy
 
@@ -40,7 +40,7 @@ def energy_decay_curve(rir_mag: np.ndarray) -> np.ndarray:
     return 10.0 * np.log10(np.maximum(ratio, floor))
 
 
-def t60_estimate(edc_curve: np.ndarray, hop_s: float = 0.016) -> float:
+def t60_estimate(edc_curve: np.ndarray, hop_s: float = dsp.HOP / dsp.SAMPLE_RATE) -> float:
     """Reverberation time from a line fit over the -5 dB to -25 dB stretch."""
     curve = np.asarray(edc_curve, dtype=np.float64)
     if curve.min() > -25.0:

@@ -17,16 +17,16 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import autodiff as ad
-from . import nn
+from . import corpus, nn
 from .autodiff import Tensor, as_tensor
 from .errors import ParseError, ShapeMismatch, WrongFrameCount, require_keys
 
 # (time extent, freq extent, output channels); the final channel count
 # becomes the time axis of the estimated impulse response.
 PAPER_RIR_LAYERS = ((9, 1, 16), (14, 1, 32), (27, 1, 64), (27, 1, 32),
-                    (27, 1, 16), (28, 1, 4), (187, 1, 126))
+                    (27, 1, 16), (28, 1, 4), (187, 1, corpus.RIR_FRAMES))
 DESK_RIR_LAYERS = ((9, 1, 8), (14, 1, 8), (27, 1, 8), (27, 1, 8),
-                   (27, 1, 8), (28, 1, 4), (187, 1, 126))
+                   (27, 1, 8), (28, 1, 4), (187, 1, corpus.RIR_FRAMES))
 
 SCALES = ("desk", "paper")
 
@@ -80,8 +80,8 @@ def _channels_to_time(h):
 @dataclass
 class RirEstimatorConfig:
     layers: tuple = PAPER_RIR_LAYERS
-    input_frames: int = 313
-    bins: int = 257
+    input_frames: int = corpus.INPUT_FRAMES
+    bins: int = corpus.BINS
 
 
 class RirEstimator:
@@ -151,7 +151,7 @@ class ResidualBiGru:
 class DryGruConfig:
     hidden: int = 64          # per direction; 380 at paper scale
     layers: int = 3
-    bins: int = 257
+    bins: int = corpus.BINS
 
 
 class DryGruEstimator:
@@ -262,8 +262,8 @@ class JointConfig:
     trunk_depth: int = 2
     hidden: int = 64
     gru_layers: int = 3
-    input_frames: int = 313
-    bins: int = 257
+    input_frames: int = corpus.INPUT_FRAMES
+    bins: int = corpus.BINS
 
 
 class JointModel:

@@ -92,7 +92,8 @@ class Checkpoint:
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """Binary layout: magic, version, u64 JSON length, JSON metadata (the
     `Checkpoint` fields, `tensors` as a {name: shape} object in name order),
-    then every tensor's data as little-endian float32 in name order."""
+    then every tensor's data as little-endian float32 in name order, to the
+    end of the file."""
     names = sorted(ckpt.tensors)
     meta = json.dumps({
         "kind": ckpt.kind, "config": ckpt.config, "epoch": ckpt.epoch,
@@ -141,6 +142,8 @@ def load_checkpoint(path) -> Checkpoint:
         except ValueError as exc:   # more axes, or a larger extent, than numpy allows
             raise ParseError(f"{path}: bad tensor shape {shape}: {exc}") from exc
         offset += 4 * count
+    if offset != len(raw):
+        raise ParseError(f"{path}: {len(raw) - offset} bytes after the last tensor")
     return Checkpoint(**{**meta, "tensors": tensors})
 
 

@@ -69,14 +69,6 @@ def test_only_commands_that_draw_random_numbers_take_seed(command, capsys):
     assert ("--seed" in capsys.readouterr().out) == (command not in ("eval", "info"))
 
 
-def test_bad_threads_environment_only_stops_synth(monkeypatch, tmp_path):
-    monkeypatch.setenv("DEREVERB_THREADS", "abc")
-    assert run(["info", "--model", "rir"]) == 0
-    with pytest.raises(SystemExit) as exc:
-        cli.main(["synth", "--manifest", "m", "--dry-dir", "d", "--out-dir", str(tmp_path)])
-    assert exc.value.code == 64
-
-
 def test_unknown_flag_exits_64():
     with pytest.raises(SystemExit) as exc:
         cli.main(["prepare", "--rir-dir", "x", "--bogus-flag", "1"])
@@ -93,6 +85,12 @@ def test_prepare_insufficient_data_exits_2(pipeline_corpus, tmp_path):
     code = run(["prepare", "--rir-dir", str(pipeline_corpus["rir"]),
                 "--out", str(tmp_path / "m.jsonl")])  # default 200/200
     assert code == 2
+
+
+def test_prepare_negative_cap_exits_64(pipeline_corpus, tmp_path):
+    out = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, out) + ["--cap", "-1"]) == 64
+    assert not out.exists()
 
 
 def test_prepare_deterministic(pipeline_corpus, tmp_path):
@@ -153,17 +151,13 @@ def test_synth_threads_do_not_change_cache_bytes(pipeline_corpus, tmp_path):
     assert written[0] == written[1]
 
 
-@pytest.mark.parametrize("threads", ["0", "-1", "env0"])
-def test_synth_rejects_threads_below_one(pipeline_corpus, tmp_path, monkeypatch, threads):
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_synth_rejects_threads_below_one(pipeline_corpus, tmp_path, threads):
     manifest_path = tmp_path / "m.jsonl"
     assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
-    args = ["synth", "--manifest", str(manifest_path), "--dry-dir",
-            str(pipeline_corpus["dry"]), "--out-dir", str(tmp_path / "cache")]
-    if threads == "env0":
-        monkeypatch.setenv("DEREVERB_THREADS", "0")
-    else:
-        args += ["--threads", threads]
-    assert run(args) == 64
+    assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--out-dir", str(tmp_path / "cache"),
+                "--threads", threads]) == 64
     assert not (tmp_path / "cache").exists()
 
 
@@ -487,6 +481,15 @@ def test_info_malformed_checkpoint_tensor_entry_exits_2(tmp_path, capsys):
     rewrite_metadata(path, lambda meta: meta["tensors"].update({"conv0.bias": [-1]}))
     assert run(["info", "--ckpt", str(path)]) == 2
     assert "tensor 'conv0.bias': bad shape [-1]" in capsys.readouterr().err
+
+
+def test_info_checkpoint_with_trailing_bytes_exits_2(tmp_path, capsys):
+    model = models.build_tiny_model("rir", np.random.default_rng(0))
+    path = tmp_path / "m.ckpt"
+    trainer.save_checkpoint(trainer.checkpoint_from_model(model, 1), path)
+    path.write_bytes(path.read_bytes() + b"garbage!")
+    assert run(["info", "--ckpt", str(path)]) == 2
+    assert "8 bytes after the last tensor" in capsys.readouterr().err
 
 
 # each former format's metadata, with one small tensor: v1 and v2 keep Adam's

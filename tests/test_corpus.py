@@ -147,6 +147,13 @@ def test_split_insufficient_data():
                             val_target=200, test_target=200, seed=0)
 
 
+@pytest.mark.parametrize("setting", ["val_target", "test_target", "cap", "big_group"])
+def test_split_rejects_a_negative_count(setting):
+    with pytest.raises(ValueError, match=f"{setting} must be non-negative"):
+        corpus.split_groups(fake_records([3, 3, 1, 1]),
+                            **{"val_target": 1, "test_target": 1, setting: -1})
+
+
 def test_split_deterministic():
     a = corpus.split_groups(fake_records(SPLIT_SIZES), seed=7)
     b = corpus.split_groups(fake_records(SPLIT_SIZES), seed=7)
@@ -278,13 +285,13 @@ def synthesize_by_pair(pair, manifest):
     reverb = dsp.AudioClip(reverb[offset:], dsp.SAMPLE_RATE)
     padded = rir if len(rir) >= corpus.RIR_MIN_SAMPLES \
         else dsp.fix_length(rir, corpus.RIR_MIN_SAMPLES)
-    dry_mag, reverb_mag, rir_mag = (
-        dsp.normalize_spectrogram(dsp.magnitude(dsp.stft(clip))) for clip in (
-            dsp.fix_length(trimmed, corpus.CLIP_SAMPLES),
-            dsp.fix_length(reverb, corpus.CLIP_SAMPLES), padded))
+    mags = [np.hypot(spec.real, spec.imag) for spec in map(dsp.stft, (
+        dsp.fix_length(trimmed, corpus.CLIP_SAMPLES),
+        dsp.fix_length(reverb, corpus.CLIP_SAMPLES), padded))]
+    dry_scale, reverb_scale, rir_scale = (float(m.max()) for m in mags)
+    dry_mag, reverb_mag, rir_mag = (m / m.max() for m in mags)
     return (dsp.log_magnitude(reverb_mag), dsp.log_magnitude(dry_mag),
-            rir_mag.mag[:corpus.RIR_FRAMES], reverb_mag.mag,
-            dry_mag.scale, rir_mag.scale, reverb_mag.scale)
+            rir_mag[:corpus.RIR_FRAMES], reverb_mag, dry_scale, rir_scale, reverb_scale)
 
 
 @pytest.mark.parametrize("onset, seconds, rate", [(0, 0.6, 16000), (300, 0.6, 16000),

@@ -352,3 +352,15 @@ def test_conv_path_of_each_layer(kind, scale, paths, monkeypatch):
     with ad.precision(np.float32), ad.no_grad():
         models.build_model(kind, scale).forward(np.zeros((corpus.INPUT_FRAMES, 257)))
     assert taken == paths
+
+
+@pytest.mark.parametrize("scale", models.SCALES)
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_estimates_have_the_target_shapes(kind, scale):
+    shapes = {"dry": (corpus.INPUT_FRAMES, corpus.BINS),
+              "rir": (corpus.RIR_FRAMES, corpus.BINS)}
+    with ad.precision(np.float32), ad.no_grad():
+        out = models.estimates(models.build_model(kind, scale),
+                               np.zeros((corpus.INPUT_FRAMES, corpus.BINS)))
+    assert {head: e.data.shape for head, e in out.items()} == \
+        {head: shapes[head] for head in models.MODELS[kind].heads}

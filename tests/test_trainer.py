@@ -338,6 +338,18 @@ def test_checkpoint_rejects_truncation(tmp_path, tiny_models):
         trainer.load_checkpoint(path)
 
 
+@pytest.mark.parametrize("edit", [
+    lambda path: path.write_bytes(path.read_bytes() + b"garbage!"),
+    lambda path: rewrite_metadata(path, lambda meta: meta["tensors"].pop(max(meta["tensors"]))),
+], ids=["trailing-bytes", "last-tensor-dropped"])
+def test_checkpoint_rejects_bytes_after_the_last_tensor(tmp_path, tiny_models, edit):
+    path = tmp_path / "m.ckpt"
+    trainer.train(tiny_config(model="rir", epochs=1), tiny_examples(1), checkpoint_path=path)
+    edit(path)
+    with pytest.raises(ParseError, match="after the last tensor"):
+        trainer.load_checkpoint(path)
+
+
 def test_checkpoint_rejects_bad_version(tmp_path, tiny_models):
     path = tmp_path / "m.ckpt"
     trainer.train(tiny_config(epochs=1), tiny_examples(1), checkpoint_path=path)
@@ -473,7 +485,8 @@ def checkpoint_files(draw):
     """Checkpoint bytes from fuzzed fields: magic, version, metadata length,
     each metadata value and each tensor shape mostly as `save_checkpoint`
     writes them, else anything; metadata now and then nested too deep to
-    parse; tensor data of the size the shapes imply, else any length."""
+    parse; tensor data of the size the shapes imply, else any length, now
+    and then followed by trailing bytes."""
     magic = draw(mostly(st.just(trainer.CKPT_MAGIC), st.binary(min_size=4, max_size=4)))
     version = draw(mostly(st.just(trainer.CKPT_VERSION), u32))
     shapes = draw(st.lists(st.lists(st.integers(0, 3), max_size=3), max_size=3))
@@ -485,7 +498,8 @@ def checkpoint_files(draw):
     meta_len = draw(mostly(st.just(len(body)), st.integers(0, 2 ** 64 - 1)))
     count = sum(math.prod(shape) for shape in shapes)
     data = draw(mostly(st.just(bytes(4 * count)), st.binary(max_size=64)))
-    return struct.pack("<4sIQ", magic, version, meta_len) + body + data
+    trailing = draw(mostly(st.just(b""), st.binary(min_size=1, max_size=8)))
+    return struct.pack("<4sIQ", magic, version, meta_len) + body + data + trailing
 
 
 @settings(max_examples=300, deadline=None,
