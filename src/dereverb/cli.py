@@ -6,9 +6,12 @@ Exit codes: 0 ok, 1 I/O failure, 2 data problem, 3 numeric failure,
 subcommand is bit-reproducible when BLAS runs one thread
 (OPENBLAS_NUM_THREADS=1); with more, GEMM summation order and so training
 bytes may change. train computes in float32; eval, gradcheck and info in
-float64. Only synth takes --threads, its worker count (at least 1). synth
-reads and analyses each dry file and each RIR once, however many pairs use
-it, and writes each example as soon as it is mixed.
+float64. gradcheck compares finite differences with the gradient of
+`trainer.example_losses`, the loss train differentiates, for each kind's
+tiny model on one random example. Only synth takes --threads, its worker
+count (at least 1). synth reads and analyses each dry file and each RIR
+once, however many pairs use it, and writes each example as soon as it is
+mixed.
 """
 
 from __future__ import annotations
@@ -21,8 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
-from . import corpus, dsp, evaluation, models, nn, trainer
+from . import corpus, evaluation, models, nn, trainer
 from .errors import (
     DereverbError,
     IoFailure,
@@ -110,7 +112,7 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("gradcheck", formatter_class=fmt,
-                       help="finite-difference check of the tiny models")
+                       help="finite-difference check of each tiny model's training loss")
     p.add_argument("--model", default="all",
                    choices=["all", *models.MODEL_KINDS])
     _add_seed(p)
@@ -184,12 +186,8 @@ def cmd_synth(args) -> int:
             corpus.save_example(corpus.mix(dry, rirs[pair.rir_id]),
                                 out_dir / corpus.pair_cache_name(pair))
 
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            list(pool.map(render, groups))
-    else:
-        for group in groups:
-            render(group)
+    with ThreadPoolExecutor(max_workers=args.threads) as pool:
+        list(pool.map(render, groups))
 
     # replace this split's pairings, keep any other split's
     by_id = {r.id: r.split for r in manifest.rirs}
@@ -232,13 +230,16 @@ def cmd_train(args) -> int:
 
 def cmd_gradcheck(args) -> int:
     kinds = list(models.MODEL_KINDS) if args.model == "all" else [args.model]
+    weights = trainer.TrainConfig().weights
     worst = 0.0
     rng_data = np.random.default_rng(derive_seed(args.seed, "gradcheck-data"))
     for kind in kinds:
+        spec = models.MODELS[kind]
         model = models.build_tiny_model(
             kind, np.random.default_rng(derive_seed(args.seed, f"gradcheck-{kind}")))
-        x = rng_data.standard_normal(models.tiny_input_shape(kind))
-        err = _gradcheck_model(model, x, rng_data)
+        example = _tiny_loss_example(rng_data, spec.tiny_input, models.TINY_RIR_FRAMES)
+        err = nn.grad_check(lambda: trainer.example_losses(model, example, weights)[0],
+                            [p for _, p in model.params()], eps=spec.grad_eps)
         worst = max(worst, err)
         print(f"gradcheck {kind}: max rel err {err:.3e}")
     if worst > GRADCHECK_LIMIT:
@@ -247,27 +248,13 @@ def cmd_gradcheck(args) -> int:
     return EXIT_OK
 
 
-def _gradcheck_model(model, x, rng) -> float:
-    spec = models.MODELS[model.kind]
-    if len(spec.heads) == 2:
-        example = _tiny_loss_example(rng, x.shape, model.rir_frames)
-        loss_fn = lambda: models.joint_loss(*model.forward(x), example)[0]
-    else:
-        target = (rng.uniform(0.0, 1.0, (model.rir_frames, x.shape[1]))
-                  if spec.heads == ("rir",) else rng.standard_normal(x.shape))
-        loss_fn = lambda: ad.mse(model.forward(x), target)
-    return nn.grad_check(loss_fn, [p for _, p in model.params()], eps=spec.grad_eps)
-
-
 def _tiny_loss_example(rng, input_shape, rir_frames):
-    frames, bins = input_shape
-    dry_log = rng.uniform(-3.0, 0.0, (frames, bins))
-    rir = rng.uniform(0.0, 1.0, (rir_frames, bins))
-    reverb = rng.uniform(0.0, 1.0, (frames, bins))
+    # drawn in field order: input and dry target ~ N(0, 1), targets ~ U(0, 1)
     return corpus.TrainingExample(
-        input_logmag=dsp.log_magnitude(reverb),
-        dry_target_logmag=dry_log, rir_target_mag=rir,
-        reverb_target_mag=reverb,
+        input_logmag=rng.standard_normal(input_shape),
+        dry_target_logmag=rng.standard_normal(input_shape),
+        rir_target_mag=rng.uniform(0.0, 1.0, (rir_frames, input_shape[1])),
+        reverb_target_mag=rng.uniform(0.0, 1.0, input_shape),
         dry_scale=1.0, rir_scale=1.0, reverb_scale=1.0)
 
 

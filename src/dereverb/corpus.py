@@ -126,13 +126,17 @@ def ingest_rirs(directory, group_pattern: str) -> list:
 
     `group_pattern` is a regex applied to each file name; its first capture
     group (or whole match) becomes the group key, falling back to the file
-    stem when it does not match. Unreadable files are skipped with a warning.
+    stem when it does not match; a pattern that does not compile is a
+    ValueError. Unreadable files are skipped with a warning.
     """
+    try:
+        pattern = re.compile(group_pattern)
+    except re.error as exc:
+        raise ValueError(f"bad group pattern {group_pattern!r}: {exc}") from exc
     directory = Path(directory)
     paths = sorted(p for p in directory.rglob("*") if p.suffix.lower() == ".wav")
     if not paths:
         raise NoFilesFound(f"no WAV files under {directory}")
-    pattern = re.compile(group_pattern)
     records = []
     skipped = 0
     for p in paths:

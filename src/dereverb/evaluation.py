@@ -105,7 +105,7 @@ def _rir_metrics(report, example_id, rir_est, example):
 
 def evaluate_model(model, examples, example_ids) -> MetricsReport:
     """Forward each example of the iterable `examples` as it comes and score
-    each head the model's kind returns; a model with both heads is also
+    each head the model's forward returns; a model with both heads is also
     scored on the reverberant reconstruction. An example is dropped once
     scored, so a lazy `examples` is held one example at a time."""
     report = MetricsReport()
@@ -120,7 +120,7 @@ def evaluate_model(model, examples, example_ids) -> MetricsReport:
 
 
 def _score(report, model, example_id, example):
-    est = models.estimates(model, example.input_logmag)
+    est = model.forward(example.input_logmag)
     if "dry" in est:
         _dry_metrics(report, example_id, est["dry"].data, example)
     if "rir" in est:

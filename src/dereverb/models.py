@@ -4,10 +4,12 @@ Kinds: a per-frequency RIR estimator (`rir`), a residual Bi-GRU dry estimator
 (`dry-gru`), a compact U-net dry estimator (`dry-unet`), and the shared-trunk
 joint model (`joint`). Each takes a log-magnitude spectrogram [frames x bins]
 and exposes `kind`, `config`, `params()` (stable name order, used by
-checkpoints) and `forward`. `MODELS` maps each kind to its `ModelSpec`: model
-class, config dataclass, desk, paper and tiny config overrides, tiny input
-shape, the heads `forward` returns, and the gradient-check step. Builders,
-losses, scoring and the gradient check all look the kind up there.
+checkpoints) and `forward`, which returns its estimates by head name:
+`{"rir"}`, `{"dry"}`, or `{"dry", "rir"}` for `joint`. `MODELS` maps each
+kind to its `ModelSpec`: model class, config dataclass, desk, paper and tiny
+config overrides, tiny input shape and the gradient-check step. Builders and
+the gradient check look the kind up there; losses and scoring read the heads
+`forward` returns.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ DESK_RIR_LAYERS = ((9, 1, 8), (14, 1, 8), (27, 1, 8), (27, 1, 8),
                    (27, 1, 8), (28, 1, 4), (187, 1, corpus.RIR_FRAMES))
 
 SCALES = ("desk", "paper")
+TINY_RIR_FRAMES = 4  # RIR frames the tiny `rir` and `joint` models estimate
 
 
 def _check_closure(layers, input_frames):
@@ -102,13 +105,9 @@ class RirEstimator:
     def params(self):
         return list(self._params)
 
-    @property
-    def rir_frames(self):
-        return self.config.layers[-1][2]
-
-    def forward(self, x) -> Tensor:
+    def forward(self, x) -> dict:
         x = _framed_input(x, self.config.input_frames)
-        return _channels_to_time(_run_conv_stack(x, self._params))
+        return {"rir": _channels_to_time(_run_conv_stack(x, self._params))}
 
 
 class ResidualBiGru:
@@ -168,12 +167,12 @@ class DryGruEstimator:
     def params(self):
         return list(self._head.params)
 
-    def forward(self, x) -> Tensor:
+    def forward(self, x) -> dict:
         x = as_tensor(x)
         if x.data.ndim != 2 or x.data.shape[1] != self.config.bins:
             raise ShapeMismatch(
                 f"expected [T, {self.config.bins}] input, got {x.data.shape}")
-        return self._head(x)
+        return {"dry": self._head(x)}
 
 
 @dataclass
@@ -221,7 +220,7 @@ class UnetEstimator:
     def params(self):
         return list(self._params)
 
-    def forward(self, x) -> Tensor:
+    def forward(self, x) -> dict:
         x = as_tensor(x)
         if x.data.ndim != 2:
             raise ShapeMismatch(f"expected [T, F] input, got {x.data.shape}")
@@ -253,7 +252,7 @@ class UnetEstimator:
                 h = ad.elu(h)
                 h = ad.concat([h, skips[i - 1]], axis=2)
         h = ad.reshape(h, h.data.shape[:2])
-        return ad.slice2d(h, 0, t, 0, f)
+        return {"dry": ad.slice2d(h, 0, t, 0, f)}
 
 
 @dataclass
@@ -287,7 +286,6 @@ class JointModel:
         head_layers = config.rir_layers[config.trunk_depth:]
         self._trunk = _conv_stack_params(rng, trunk_layers, 1, "trunk")
         self._rir_head = _conv_stack_params(rng, head_layers, trunk_layers[-1][2], "rir")
-        self.trunk_frames = config.input_frames - sum(kt - 1 for kt, _, _ in trunk_layers)
         trunk_width = config.bins * trunk_layers[-1][2]
         self._dry_head = ResidualBiGru(rng, trunk_width, config.hidden,
                                        config.gru_layers, config.bins, prefix="dry.")
@@ -295,11 +293,7 @@ class JointModel:
     def params(self):
         return self._trunk + self._rir_head + self._dry_head.params
 
-    @property
-    def rir_frames(self):
-        return self.config.rir_layers[-1][2]
-
-    def forward(self, x):
+    def forward(self, x) -> dict:
         h = _run_conv_stack(_framed_input(x, self.config.input_frames), self._trunk,
                             relu_last=False)
         rir_est = _channels_to_time(_run_conv_stack(h, self._rir_head))
@@ -307,8 +301,8 @@ class JointModel:
         t, f, c = h.data.shape
         d = self._dry_head(ad.reshape(h, (t, f * c)))
         missing = self.config.input_frames - t
-        dry_est = ad.pad_rows_edge(d, missing // 2, missing - missing // 2)
-        return dry_est, rir_est
+        return {"dry": ad.pad_rows_edge(d, missing // 2, missing - missing // 2),
+                "rir": rir_est}
 
 
 # ---------------------------------------------------------------------------
@@ -379,31 +373,30 @@ class ModelSpec:
     paper: dict
     tiny: dict          # miniature config for gradient checks and smoke training
     tiny_input: tuple   # input shape the tiny model accepts
-    heads: tuple        # what forward returns, in order: "dry", "rir" or both
     grad_eps: float     # finite-difference step of the tiny model's gradient check
 
 
 MODELS = {spec.model.kind: spec for spec in (
     ModelSpec(RirEstimator, RirEstimatorConfig,
               desk={"layers": DESK_RIR_LAYERS}, paper={"layers": PAPER_RIR_LAYERS},
-              tiny={"layers": ((3, 1, 2), (2, 1, 4), (5, 1, 4)),
+              tiny={"layers": ((3, 1, 2), (2, 1, 4), (5, 1, TINY_RIR_FRAMES)),
                     "input_frames": 8, "bins": 5},
-              tiny_input=(8, 5), heads=("rir",), grad_eps=1e-5),
+              tiny_input=(8, 5), grad_eps=1e-5),
     ModelSpec(DryGruEstimator, DryGruConfig,
               desk={"hidden": 64}, paper={"hidden": 380},
               tiny={"hidden": 3, "layers": 2, "bins": 5},
-              tiny_input=(6, 5), heads=("dry",), grad_eps=1e-5),
+              tiny_input=(6, 5), grad_eps=1e-5),
     ModelSpec(UnetEstimator, UnetConfig, desk={}, paper={},
               tiny={"depth": 2, "base_channels": 2},
-              tiny_input=(16, 16), heads=("dry",), grad_eps=1e-5),
+              tiny_input=(16, 16), grad_eps=1e-5),
     # deep composite: a larger step keeps the quotient above rounding noise
     ModelSpec(JointModel, JointConfig,
               desk={"rir_layers": DESK_RIR_LAYERS, "hidden": 64},
               paper={"rir_layers": PAPER_RIR_LAYERS, "hidden": 380},
-              tiny={"rir_layers": ((3, 1, 2), (3, 1, 2), (3, 1, 2), (2, 1, 4)),
+              tiny={"rir_layers": ((3, 1, 2), (3, 1, 2), (3, 1, 2), (2, 1, TINY_RIR_FRAMES)),
                     "trunk_depth": 2, "hidden": 3, "gru_layers": 1,
                     "input_frames": 8, "bins": 5},
-              tiny_input=(8, 5), heads=("dry", "rir"), grad_eps=1e-4),
+              tiny_input=(8, 5), grad_eps=1e-4),
 )}
 MODEL_KINDS = tuple(MODELS)
 HEAD_TARGETS = {"dry": "dry_target_logmag", "rir": "rir_target_mag"}  # example fields
@@ -417,13 +410,6 @@ def _spec(kind) -> ModelSpec:
 
 def _build(spec: ModelSpec, config, rng):
     return spec.model(config, np.random.default_rng(0) if rng is None else rng)
-
-
-def estimates(model, x) -> dict:
-    """{head: estimate} of one forward pass, for the heads of the model's kind."""
-    heads = MODELS[model.kind].heads
-    out = model.forward(x)
-    return dict(zip(heads, out if len(heads) > 1 else (out,)))
 
 
 def build_model(kind: str, scale: str = "desk", rng=None):
@@ -448,10 +434,6 @@ def build_tiny_model(kind: str, rng=None):
     """Miniature configurations for gradient checking and smoke training."""
     spec = _spec(kind)
     return _build(spec, spec.config(**spec.tiny), rng)
-
-
-def tiny_input_shape(kind: str):
-    return _spec(kind).tiny_input
 
 
 def _convert(value, to):

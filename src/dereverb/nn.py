@@ -460,12 +460,11 @@ class Adam:
 # Verification
 # ---------------------------------------------------------------------------
 
-def grad_check(loss_fn, params, eps=1e-5, max_entries=20000, rng=None) -> float:
+def grad_check(loss_fn, params, eps=1e-5) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    `loss_fn` rebuilds the scalar loss from the live parameter tensors. When
-    the parameters hold more than `max_entries` scalars a seeded random
-    subset is probed instead. The error denominator is
+    `loss_fn` rebuilds the scalar loss from the live parameter tensors; every
+    parameter entry is probed. The error denominator is
     max(|analytic|, |numeric|, 1e-8).
     """
     for p in params:
@@ -474,24 +473,18 @@ def grad_check(loss_fn, params, eps=1e-5, max_entries=20000, rng=None) -> float:
     analytic = [p.grad.copy() if p.grad is not None else np.zeros_like(p.data)
                 for p in params]
 
-    entries = [(i, j) for i, p in enumerate(params) for j in range(p.data.size)]
-    if len(entries) > max_entries:
-        rng = rng or np.random.default_rng(0)
-        picks = rng.choice(len(entries), size=max_entries, replace=False)
-        entries = [entries[k] for k in sorted(picks)]
-
     worst = 0.0
     with no_grad():
-        for i, j in entries:
-            p = params[i]
-            orig = p.data.flat[j]
-            p.data.flat[j] = orig + eps
-            f_plus = float(loss_fn().data)
-            p.data.flat[j] = orig - eps
-            f_minus = float(loss_fn().data)
-            p.data.flat[j] = orig
-            numeric = (f_plus - f_minus) / (2.0 * eps)
-            a = analytic[i].flat[j]
-            rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
-            worst = max(worst, rel)
+        for p, grad in zip(params, analytic):
+            for j in range(p.data.size):
+                orig = p.data.flat[j]
+                p.data.flat[j] = orig + eps
+                f_plus = float(loss_fn().data)
+                p.data.flat[j] = orig - eps
+                f_minus = float(loss_fn().data)
+                p.data.flat[j] = orig
+                numeric = (f_plus - f_minus) / (2.0 * eps)
+                a = grad.flat[j]
+                rel = abs(a - numeric) / max(abs(a), abs(numeric), 1e-8)
+                worst = max(worst, rel)
     return worst

@@ -137,6 +137,8 @@ def load_checkpoint(path) -> Checkpoint:
         if offset + 4 * count > len(raw):
             raise ParseError(f"{path}: truncated tensor {name}")
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+        if not np.isfinite(arr).all():   # train stops with NonFiniteLoss before saving one
+            raise ParseError(f"{path}: tensor {name!r} holds a non-finite value")
         try:
             tensors[name] = arr.reshape(shape).copy()
         except ValueError as exc:   # more axes, or a larger extent, than numpy allows
@@ -178,7 +180,7 @@ def example_losses(model, example, weights):
     """(total, l_dry, l_rir, l_rec) tensors for one example: the joint loss
     for a model with both heads, else the one head's MSE as total and as its
     own component, the others zero."""
-    est = models.estimates(model, example.input_logmag)
+    est = model.forward(example.input_logmag)
     if len(est) == 2:
         return models.joint_loss(est["dry"], est["rir"], example, weights)
     zero = ad.as_tensor(0.0)

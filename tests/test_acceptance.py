@@ -40,7 +40,7 @@ def test_criterion_1_shape_closure():
     stft_ok = logmag.shape == (313, 257)
 
     model = models.build_model("rir", scale="paper", rng=np.random.default_rng(1))
-    out = model.forward(logmag)
+    out = model.forward(logmag)["rir"]
     out_ok = out.data.shape == (126, 257)
     c.finish(chain_ok and stft_ok and out_ok,
              f"chain {extents}, stft {logmag.shape}, estimator {out.data.shape}")
@@ -103,23 +103,23 @@ def test_criterion_2_gradient_suite():
     data_rng = np.random.default_rng(3)
     for kind in models.MODEL_KINDS:
         model = models.build_tiny_model(kind, np.random.default_rng(4))
-        shape = models.tiny_input_shape(kind)
+        shape = models.MODELS[kind].tiny_input
         xin = data_rng.standard_normal(shape)
         if kind == "joint":
             example = tiny_example(data_rng, consistent=False)
 
             def loss_fn():
-                dry_est, rir_est = model.forward(example.input_logmag)
-                return models.joint_loss(dry_est, rir_est, example)[0]
+                est = model.forward(example.input_logmag)
+                return models.joint_loss(est["dry"], est["rir"], example)[0]
 
             err = nn.grad_check(loss_fn, [p for _, p in model.params()], eps=1e-4)
         elif kind == "rir":
-            target = data_rng.uniform(0, 1, (model.rir_frames, shape[1]))
-            err = nn.grad_check(lambda: ad.mse(model.forward(xin), target),
+            target = data_rng.uniform(0, 1, (models.TINY_RIR_FRAMES, shape[1]))
+            err = nn.grad_check(lambda: ad.mse(model.forward(xin)["rir"], target),
                                 [p for _, p in model.params()])
         else:
             target = data_rng.standard_normal(shape)
-            err = nn.grad_check(lambda: ad.mse(model.forward(xin), target),
+            err = nn.grad_check(lambda: ad.mse(model.forward(xin)["dry"], target),
                                 [p for _, p in model.params()])
         worst[f"model:{kind}"] = err
 

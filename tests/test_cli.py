@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from dereverb import autodiff as ad
 from dereverb import cli, corpus, dsp, models, trainer
 from dereverb.errors import VersionMismatch
 from conftest import make_dry_clip, make_rir_clip
@@ -90,6 +91,15 @@ def test_prepare_insufficient_data_exits_2(pipeline_corpus, tmp_path):
 def test_prepare_negative_cap_exits_64(pipeline_corpus, tmp_path):
     out = tmp_path / "m.jsonl"
     assert run(prepare_args(pipeline_corpus, out) + ["--cap", "-1"]) == 64
+    assert not out.exists()
+
+
+def test_prepare_bad_group_pattern_exits_64(pipeline_corpus, tmp_path, capsys):
+    out = tmp_path / "m.jsonl"
+    args = prepare_args(pipeline_corpus, out)
+    args[args.index("--group-pattern") + 1] = "("
+    assert run(args) == 64
+    assert "bad group pattern '('" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -429,6 +439,29 @@ def test_gradcheck_cli_passes_all_tiny_models():
     assert run(["gradcheck", "--model", "all", "--seed", "1"]) == 0
 
 
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_gradcheck_differentiates_the_training_loss(kind, monkeypatch):
+    seen = []
+    example_losses = trainer.example_losses
+
+    def spy(model, *rest):
+        seen.append(model.kind)
+        return example_losses(model, *rest)
+
+    monkeypatch.setattr(trainer, "example_losses", spy)
+    assert run(["gradcheck", "--model", kind]) == 0
+    assert seen and set(seen) == {kind}
+
+    mse = ad.mse
+
+    def doubled(a, b):   # the same loss, twice its gradient
+        loss = mse(a, b)
+        return ad._node(loss.data, (loss,), lambda g: ad.accumulate(loss, 2.0 * g))
+
+    monkeypatch.setattr(ad, "mse", doubled)
+    assert run(["gradcheck", "--model", kind]) == 3
+
+
 def test_info_paper_rir_prints_stack(capsys):
     assert run(["info", "--model", "rir", "--scale", "paper"]) == 0
     out = capsys.readouterr().out
@@ -481,6 +514,17 @@ def test_info_malformed_checkpoint_tensor_entry_exits_2(tmp_path, capsys):
     rewrite_metadata(path, lambda meta: meta["tensors"].update({"conv0.bias": [-1]}))
     assert run(["info", "--ckpt", str(path)]) == 2
     assert "tensor 'conv0.bias': bad shape [-1]" in capsys.readouterr().err
+
+
+def test_info_non_finite_checkpoint_exits_2(tmp_path, capsys):
+    ckpt = trainer.checkpoint_from_model(
+        models.build_tiny_model("rir", np.random.default_rng(0)), 1)
+    for arr in ckpt.tensors.values():
+        arr[...] = np.nan
+    path = tmp_path / "m.ckpt"
+    trainer.save_checkpoint(ckpt, path)
+    assert run(["info", "--ckpt", str(path)]) == 2
+    assert "holds a non-finite value" in capsys.readouterr().err
 
 
 def test_info_checkpoint_with_trailing_bytes_exits_2(tmp_path, capsys):

@@ -106,7 +106,7 @@ class OracleModel:
         from dereverb.autodiff import Tensor
         ex = self.examples[self.calls]
         self.calls += 1
-        return Tensor(ex.dry_target_logmag), Tensor(ex.rir_target_mag)
+        return {"dry": Tensor(ex.dry_target_logmag), "rir": Tensor(ex.rir_target_mag)}
 
 
 def decaying_examples(n, frames=8, bins=5, rir_frames=6):
@@ -147,7 +147,7 @@ def test_evaluate_constant_zero_dry_model_matches_direct_lsd():
 
         def forward(self, x):
             from dereverb.autodiff import Tensor
-            return Tensor(np.zeros_like(x if isinstance(x, np.ndarray) else x.data))
+            return {"dry": Tensor(np.zeros_like(x if isinstance(x, np.ndarray) else x.data))}
 
     report = evaluation.evaluate_model(ZeroModel(), examples, ["a", "b"])
     # independent recomputation of the same metric

@@ -47,21 +47,21 @@ def test_rir_estimator_extent_chain():
     for kt, _, _ in models.PAPER_RIR_LAYERS:
         extents.append(extents[-1] - kt + 1)
     assert extents == [313, 305, 292, 266, 240, 214, 187, 1]
-    out = model.forward(np.zeros((313, 257)))
+    out = model.forward(np.zeros((313, 257)))["rir"]
     assert out.data.shape == (126, 257)
 
 
 def test_rir_estimator_zero_input_zero_output():
     rng = np.random.default_rng(1)
     model = models.build_tiny_model("rir", rng)
-    out = model.forward(np.zeros(models.tiny_input_shape("rir")))
+    out = model.forward(np.zeros(models.MODELS["rir"].tiny_input))["rir"]
     assert np.all(out.data == 0)
 
 
 def test_rir_estimator_output_non_negative():
     rng = np.random.default_rng(2)
     model = models.build_tiny_model("rir", rng)
-    out = model.forward(rng.standard_normal(models.tiny_input_shape("rir")))
+    out = model.forward(rng.standard_normal(models.MODELS["rir"].tiny_input))["rir"]
     assert np.all(out.data >= 0)
 
 
@@ -82,9 +82,9 @@ def test_rir_estimator_closure_enforced():
 def test_rir_estimator_gradcheck():
     rng = np.random.default_rng(4)
     model = models.build_tiny_model("rir", rng)
-    x = rng.standard_normal(models.tiny_input_shape("rir"))
+    x = rng.standard_normal(models.MODELS["rir"].tiny_input)
     target = rng.uniform(0.0, 1.0, (4, 5))
-    loss_fn = lambda: ad.mse(model.forward(x), target)
+    loss_fn = lambda: ad.mse(model.forward(x)["rir"], target)
     err = nn.grad_check(loss_fn, [p for _, p in model.params()])
     assert err < 1e-5
 
@@ -103,7 +103,7 @@ def test_dry_gru_preserves_frames():
     model = models.build_tiny_model("dry-gru", rng)
     for t in [1, 2, 7, 40, 400]:
         x = rng.standard_normal((t, 5))
-        out = model.forward(x)
+        out = model.forward(x)["dry"]
         assert out.data.shape == (t, 5)
 
 
@@ -112,7 +112,7 @@ def test_dry_gru_gradcheck():
     model = models.DryGruEstimator(models.DryGruConfig(hidden=4, layers=1, bins=5), rng)
     x = rng.standard_normal((6, 5))
     target = rng.standard_normal((6, 5))
-    loss_fn = lambda: ad.mse(model.forward(x), target)
+    loss_fn = lambda: ad.mse(model.forward(x)["dry"], target)
     err = nn.grad_check(loss_fn, [p for _, p in model.params()])
     assert err < 1e-5
 
@@ -122,14 +122,14 @@ def test_dry_gru_gradcheck():
 def test_unet_padding_arithmetic():
     rng = np.random.default_rng(8)
     model = models.build_model("dry-unet", rng=rng)
-    out = model.forward(rng.standard_normal((313, 257)))
+    out = model.forward(rng.standard_normal((313, 257)))["dry"]
     assert out.data.shape == (313, 257)
 
 
 def test_unet_zero_input_zero_output():
     rng = np.random.default_rng(9)
     model = models.build_tiny_model("dry-unet", rng)
-    out = model.forward(np.zeros((16, 16)))
+    out = model.forward(np.zeros((16, 16)))["dry"]
     assert np.abs(out.data).max() == 0.0
 
 
@@ -138,7 +138,7 @@ def test_unet_gradcheck():
     model = models.build_tiny_model("dry-unet", rng)
     x = rng.standard_normal((16, 16))
     target = rng.standard_normal((16, 16))
-    loss_fn = lambda: ad.mse(model.forward(x), target)
+    loss_fn = lambda: ad.mse(model.forward(x)["dry"], target)
     err = nn.grad_check(loss_fn, [p for _, p in model.params()])
     assert err < 1e-5
 
@@ -239,18 +239,21 @@ def test_reconstruct_constant_dry_skips_its_adjoint(frames, monkeypatch):
 def test_joint_trunk_arithmetic():
     rng = np.random.default_rng(16)
     model = models.build_model("joint", scale="paper", rng=rng)
-    assert model.trunk_frames == 292
-    dry, rir = model.forward(np.zeros((313, 257)))
-    assert dry.data.shape == (313, 257)
-    assert rir.data.shape == (126, 257)
+    est = model.forward(rng.standard_normal((313, 257)))
+    dry, rir = est["dry"].data, est["rir"].data
+    assert dry.shape == (313, 257)
+    assert rir.shape == (126, 257)
+    # the trunk leaves 292 frames: 10 edge copies go before them and 11 after
+    assert np.all(dry[:10] == dry[10]) and np.any(dry[10] != dry[11])
+    assert np.all(dry[302:] == dry[301]) and np.any(dry[301] != dry[300])
 
 
 def test_joint_dry_head_param_disconnected_from_rec_loss():
     rng = np.random.default_rng(17)
     model = models.build_tiny_model("joint", rng)
     example = tiny_example(np.random.default_rng(18))
-    dry_est, rir_est = model.forward(example.input_logmag)
-    total, _, _, l_rec = models.joint_loss(dry_est, rir_est, example,
+    est = model.forward(example.input_logmag)
+    total, _, _, l_rec = models.joint_loss(est["dry"], est["rir"], example,
                                            weights=(0.0, 0.0, 1.0))
     for _, p in model.params():
         p.grad = None
@@ -268,8 +271,8 @@ def test_joint_trunk_sees_gradient_from_each_loss_term():
     for idx, weights in enumerate([(1, 0, 0), (0, 1, 0), (0, 0, 1)]):
         for _, p in model.params():
             p.grad = None
-        dry_est, rir_est = model.forward(example.input_logmag)
-        total, *_ = models.joint_loss(dry_est, rir_est, example, weights=weights)
+        est = model.forward(example.input_logmag)
+        total, *_ = models.joint_loss(est["dry"], est["rir"], example, weights=weights)
         ad.backward(total)
         g = by_name["trunk0.kernel"].grad
         assert g is not None and np.linalg.norm(g) > 0, f"term {idx}"
@@ -279,8 +282,8 @@ def test_joint_loss_weights_semantics():
     rng = np.random.default_rng(21)
     model = models.build_tiny_model("joint", rng)
     example = tiny_example(np.random.default_rng(22), consistent=False)
-    dry_est, rir_est = model.forward(example.input_logmag)
-    total, l_dry, _, _ = models.joint_loss(dry_est, rir_est, example,
+    est = model.forward(example.input_logmag)
+    total, l_dry, _, _ = models.joint_loss(est["dry"], est["rir"], example,
                                            weights=(1.0, 0.0, 0.0))
     assert float(total.data) == pytest.approx(float(l_dry.data))
 
@@ -311,8 +314,8 @@ def test_joint_end_to_end_gradcheck():
     example = tiny_example(np.random.default_rng(26), consistent=False)
 
     def loss_fn():
-        dry_est, rir_est = model.forward(example.input_logmag)
-        total, *_ = models.joint_loss(dry_est, rir_est, example)
+        est = model.forward(example.input_logmag)
+        total, *_ = models.joint_loss(est["dry"], est["rir"], example)
         return total
 
     # eps 1e-4 keeps the difference quotient above float64 rounding noise for
@@ -360,7 +363,9 @@ def test_estimates_have_the_target_shapes(kind, scale):
     shapes = {"dry": (corpus.INPUT_FRAMES, corpus.BINS),
               "rir": (corpus.RIR_FRAMES, corpus.BINS)}
     with ad.precision(np.float32), ad.no_grad():
-        out = models.estimates(models.build_model(kind, scale),
-                               np.zeros((corpus.INPUT_FRAMES, corpus.BINS)))
+        out = models.build_model(kind, scale).forward(
+            np.zeros((corpus.INPUT_FRAMES, corpus.BINS)))
+    heads = {"rir": ("rir",), "dry-gru": ("dry",), "dry-unet": ("dry",),
+             "joint": ("dry", "rir")}[kind]
     assert {head: e.data.shape for head, e in out.items()} == \
-        {head: shapes[head] for head in models.MODELS[kind].heads}
+        {head: shapes[head] for head in heads}

@@ -322,11 +322,11 @@ def test_checkpoint_forward_reproducible(tmp_path, tiny_models):
     x = examples[0].input_logmag
     a = restored.forward(x)
     b = trainer.restore_model(trainer.load_checkpoint(path)).forward(x)
-    np.testing.assert_array_equal(a[0].data, b[0].data)
-    np.testing.assert_array_equal(a[1].data, b[1].data)
+    np.testing.assert_array_equal(a["dry"].data, b["dry"].data)
+    np.testing.assert_array_equal(a["rir"].data, b["rir"].data)
     live = model.forward(x)
-    np.testing.assert_array_equal(live[0].data, a[0].data)
-    np.testing.assert_array_equal(live[1].data, a[1].data)
+    np.testing.assert_array_equal(live["dry"].data, a["dry"].data)
+    np.testing.assert_array_equal(live["rir"].data, a["rir"].data)
 
 
 def test_checkpoint_rejects_truncation(tmp_path, tiny_models):
@@ -347,6 +347,17 @@ def test_checkpoint_rejects_bytes_after_the_last_tensor(tmp_path, tiny_models, e
     trainer.train(tiny_config(model="rir", epochs=1), tiny_examples(1), checkpoint_path=path)
     edit(path)
     with pytest.raises(ParseError, match="after the last tensor"):
+        trainer.load_checkpoint(path)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+def test_checkpoint_rejects_non_finite_tensor_data(tmp_path, value):
+    ckpt = trainer.checkpoint_from_model(
+        models.build_tiny_model("rir", np.random.default_rng(0)), 1)
+    ckpt.tensors["conv2.bias"][-1] = value
+    path = tmp_path / "m.ckpt"
+    trainer.save_checkpoint(ckpt, path)
+    with pytest.raises(ParseError, match="tensor 'conv2.bias' holds a non-finite value"):
         trainer.load_checkpoint(path)
 
 
