@@ -1,9 +1,9 @@
 """Reverse-mode differentiation over dense float arrays.
 
 A :class:`Tensor` wraps an ndarray of the engine's precision: float64 unless
-a :func:`precision` block says otherwise (training runs in float32; scoring
-and gradient checks in float64). Ops compute in their operands' dtype, so a
-graph built inside one block holds one precision throughout. Every op
+a :func:`precision` block says otherwise (train and eval compute in float32;
+gradcheck in float64). Ops compute in their operands' dtype, so a graph
+built inside one block holds one precision throughout. Every op
 records its parents and a backward rule on the result. Creation order
 doubles as the tape: it is a topological order of the graph, so `backward`
 walks nodes by descending creation index and visits each exactly once.
@@ -210,7 +210,7 @@ def mse(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = np.where(a.data > 0, a.data, 0.0)
+    out = np.maximum(a.data, 0.0) + 0.0   # + 0.0 turns -0 into 0; NaN stays NaN
 
     def bwd(g):
         accumulate(a, g * (out > 0))
@@ -221,7 +221,11 @@ def relu(a) -> Tensor:
 def elu(a) -> Tensor:
     """x for x > 0, exp(x) - 1 otherwise (alpha 1)."""
     a = as_tensor(a)
-    out = np.where(a.data > 0, a.data, np.exp(np.minimum(a.data, 0.0)) - 1.0)
+    # no mask: exp(x) - 1 is never above 0 for x <= 0, and x + 0.0 is x
+    out = np.minimum(a.data, 0.0, out=np.empty_like(a.data))   # an array, even 0-d
+    np.exp(out, out=out)
+    out -= 1.0
+    out += np.maximum(a.data, 0.0)
 
     def bwd(g):
         # the derivative from the output: 1 where out > 0, exp(x) = out + 1 elsewhere

@@ -5,8 +5,8 @@ Exit codes: 0 ok, 1 I/O failure, 2 data problem, 3 numeric failure,
 --seed; all their randomness fans out from it through named streams. Every
 subcommand is bit-reproducible when BLAS runs one thread
 (OPENBLAS_NUM_THREADS=1); with more, GEMM summation order and so training
-bytes may change. train computes in float32; eval, gradcheck and info in
-float64. gradcheck compares finite differences with the gradient of
+bytes may change. train and eval compute in float32; gradcheck in float64.
+gradcheck compares finite differences with the gradient of
 `trainer.example_losses`, the loss train differentiates, for each kind's
 tiny model on one random example. Only synth takes --threads, its worker
 count (at least 1). synth reads and analyses each dry file and each RIR

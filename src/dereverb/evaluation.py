@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import corpus, dsp, models, trainer
-from .autodiff import no_grad
+from .autodiff import no_grad, precision
 from .errors import EmptySplit, InsufficientDecay, ShapeMismatch, ZeroEnergy
 
 DB_CLAMP = -120.0
@@ -106,30 +106,37 @@ def _rir_metrics(report, example_id, rir_est, example):
 def evaluate_model(model, examples, example_ids) -> MetricsReport:
     """Forward each example of the iterable `examples` as it comes and score
     each head the model's forward returns; a model with both heads is also
-    scored on the reverberant reconstruction. An example is dropped once
-    scored, so a lazy `examples` is held one example at a time."""
+    scored on the reverberant reconstruction. The forward runs at the
+    precision of the model's parameters (float32 for a trained or restored
+    model; float64 for one without parameters); every metric is computed in
+    float64. An example is dropped once scored, so a lazy `examples` is held
+    one example at a time."""
     report = MetricsReport()
     ids = iter(example_ids)
+    params = model.params() if hasattr(model, "params") else ()
+    dtype = next((p.data.dtype for _, p in params), np.float64)
     with no_grad():
         for example in examples:
-            _score(report, model, next(ids), example)
+            with precision(dtype):
+                est = model.forward(example.input_logmag)
+            _score(report, next(ids), est, example)
             del example   # freed before the next one loads
     if not report.rows:
         raise EmptySplit("no examples to evaluate")
     return report
 
 
-def _score(report, model, example_id, example):
-    est = model.forward(example.input_logmag)
+def _score(report, example_id, est, example):
+    est = {head: t.data.astype(np.float64) for head, t in est.items()}
     if "dry" in est:
-        _dry_metrics(report, example_id, est["dry"].data, example)
+        _dry_metrics(report, example_id, est["dry"], example)
     if "rir" in est:
-        _rir_metrics(report, example_id, est["rir"].data, example)
+        _rir_metrics(report, example_id, est["rir"], example)
     if len(est) == 2:
-        recon = models.reconstruct_reverb(
-            est["rir"].data, np.exp(example.dry_target_logmag))
+        # `reconstruct_reverb`'s forward, kept off the engine and its precision
+        recon = models._frame_convolve(est["rir"], np.exp(example.dry_target_logmag))
         report.add(example_id, "reconstruction_mse", float(np.mean(
-            (recon.data - example.reverb_target_mag) ** 2)))
+            (recon - example.reverb_target_mag) ** 2)))
 
 
 def evaluate(checkpoint: trainer.Checkpoint, manifest, split: str,

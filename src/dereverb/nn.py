@@ -1,7 +1,7 @@
 """Neural-network layers on the autodiff engine, plus Adam and grad checking.
 
-Every layer computes in its operands' dtype: float32 when training, float64
-for scoring and gradient checks (see :func:`autodiff.precision`).
+Every layer computes in its operands' dtype: float32 when training and
+scoring, float64 for gradient checks (see :func:`autodiff.precision`).
 Convolutions follow the cross-correlation convention used by deep-learning
 frameworks (no kernel flip), unlike the true convolutions in :mod:`dsp`.
 All layers operate on single examples: conv inputs are [T, F, C], recurrent

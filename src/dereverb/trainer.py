@@ -1,9 +1,11 @@
 """Deterministic training loops, checkpointing, and loss logging.
 
-Training computes in float32: parameters, activations, gradients and Adam
-moments (Micikevicius et al., *Mixed Precision Training*, arXiv:1710.03740,
-without the float64 master copy that only float16 needs). Everything else,
-scoring and gradient checks included, computes in float64.
+Train and eval compute in float32; gradcheck in float64. Training holds
+parameters, activations, gradients and Adam moments in float32
+(Micikevicius et al., *Mixed Precision Training*, arXiv:1710.03740, without
+the float64 master copy that only float16 needs), returns its float32 model,
+and a restored checkpoint is float32 too, so a model is scored at the
+precision it was trained and stored in.
 
 A run is fully determined by (seed, config, example order) when BLAS runs
 one thread (OPENBLAS_NUM_THREADS=1; more threads may change GEMM summation
@@ -23,6 +25,7 @@ one example's activations at a time, whatever the batch size.
 
 from __future__ import annotations
 
+import ctypes
 import json
 import math
 import struct
@@ -157,8 +160,8 @@ def checkpoint_from_model(model, epoch: int) -> Checkpoint:
 
 
 def restore_model(ckpt: Checkpoint):
-    """Rebuild the model and overwrite its parameters from the checkpoint, in
-    the engine's precision (float64 unless inside `autodiff.precision`)."""
+    """Rebuild the model and overwrite its parameters from the checkpoint, as
+    float32, as the checkpoint stores them and training holds them."""
     model = models.build_model_from_config(ckpt.kind, ckpt.config)
     odd = sorted(ckpt.tensors.keys() ^ {name for name, _ in model.params()})
     if odd:
@@ -168,7 +171,7 @@ def restore_model(ckpt: Checkpoint):
         stored = ckpt.tensors[name]
         if stored.shape != p.data.shape:
             raise ParseError(f"checkpoint tensor {name!r} is not of shape {p.data.shape}")
-        p.data = stored.astype(p.data.dtype)
+        p.data = stored.astype(np.float32)
     return model
 
 
@@ -198,6 +201,29 @@ def _component_values(parts):
 # Training loop
 # ---------------------------------------------------------------------------
 
+# glibc's mallopt parameters (malloc.h) and the values its dynamic thresholds
+# reach at their ceiling on 64-bit: mmap at 32 MiB, trim at twice that
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+
+
+def _keep_freed_memory():
+    """Have the C allocator keep what a training step frees for the next step.
+
+    Backward frees each example's graph, so at glibc's default thresholds
+    every step returns its larger arrays to the OS (mmapped blocks, a trimmed
+    heap top) and page-faults them in again; fixed thresholds also keep that
+    from depending on what the process allocated before. A no-op where the C
+    library has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
 def train(config: TrainConfig, train_examples, val_examples=(),
           checkpoint_path=None, log_path=None):
     """Train a fresh model in float32 and return (model, rows, final checkpoint).
@@ -208,12 +234,13 @@ def train(config: TrainConfig, train_examples, val_examples=(),
     `checkpoint_every` epochs and after the last, so a run that stops early
     leaves its last snapshot there. A non-finite loss, or a non-finite
     gradient before an Adam step, raises `NonFiniteLoss`. The returned model
-    holds float64 parameters equal to the checkpoint's, so it scores exactly
+    holds float32 parameters equal to the checkpoint's, so it scores exactly
     as `restore_model(final)` does.
     """
     if not train_examples:
         raise EmptySplit("no training examples")
 
+    _keep_freed_memory()
     with ad.precision(np.float32):
         model = models.build_model(config.model, scale=config.scale,
                                    rng=rng_for(config.seed, "init"))
@@ -256,8 +283,6 @@ def train(config: TrainConfig, train_examples, val_examples=(),
                 save_checkpoint(checkpoint_from_model(model, epoch), checkpoint_path)
 
         final = checkpoint_from_model(model, config.epochs)
-    for _, p in named:
-        p.data = p.data.astype(np.float64)
     if checkpoint_path:
         save_checkpoint(final, checkpoint_path)
     if log_path:

@@ -83,6 +83,22 @@ def test_elu_relu_values():
     np.testing.assert_array_equal(r.data, [0.0, 0.0, 3.0])
 
 
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_elu_relu_match_the_masked_forms_bit_for_bit(dtype):
+    x = np.array([0.0, -0.0, 1e-40, -1e-40, 1.0, -1.0, -200.0, np.nan], dtype=dtype)
+    with ad.precision(dtype):
+        e, r = ad.elu(ad.Tensor(x)).data, ad.relu(ad.Tensor(x)).data
+    assert e.dtype == r.dtype == dtype
+    assert e.tobytes() == np.where(x > 0, x, np.exp(np.minimum(x, 0.0)) - 1.0).tobytes()
+    finite = ~np.isnan(x)   # the masked relu mapped NaN to 0
+    assert r[finite].tobytes() == np.where(x > 0, x, 0.0)[finite].tobytes()
+
+
+def test_relu_propagates_nan():
+    r = ad.relu(ad.Tensor(np.array([np.nan, -1.0, 2.0])))
+    np.testing.assert_array_equal(r.data, [np.nan, 0.0, 2.0])
+
+
 @pytest.mark.parametrize("op", [ad.elu, ad.relu])
 def test_elementwise_gradients_match_fd(op):
     rng = np.random.default_rng(1)

@@ -144,14 +144,32 @@ def test_a_training_step_computes_in_one_precision(monkeypatch, kind, dtype):
     assert {a.dtype for a in opt.m + opt.v} == {want}
 
 
-def test_train_computes_in_float32_and_returns_float64(monkeypatch, tiny_models):
+def test_train_computes_in_float32_and_returns_float32(monkeypatch, tiny_models):
     seen = record_dtypes(monkeypatch)
     model, _, final = trainer.train(tiny_config(epochs=2), tiny_examples(2),
                                     tiny_examples(1, seed=9))
     assert seen == {np.dtype(np.float32)}
-    assert {p.data.dtype for _, p in model.params()} == {np.dtype(np.float64)}
+    assert {p.data.dtype for _, p in model.params()} == {np.dtype(np.float32)}
     assert final.tensors.keys() == {name for name, _ in model.params()}
     assert {a.dtype.char for a in final.tensors.values()} == {"f"}
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_scoring_runs_at_the_model_precision(monkeypatch, tiny_models, kind):
+    examples, ids = tiny_examples(3), ["a", "b", "c"]
+    model, _, final = trainer.train(tiny_config(model=kind, epochs=2), examples)
+    seen = record_dtypes(monkeypatch)
+    report = evaluation.evaluate_model(model, examples, ids)
+    assert seen == {np.dtype(np.float32)}
+
+    restored = trainer.restore_model(final)
+    assert {p.data.dtype for _, p in restored.params()} == {np.dtype(np.float32)}
+    for _, p in restored.params():   # the same parameters, scored in float64
+        p.data = p.data.astype(np.float64)
+    wide = evaluation.evaluate_model(restored, examples, ids)
+    assert [row[:2] for row in report.rows] == [row[:2] for row in wide.rows]
+    np.testing.assert_allclose([row[2] for row in report.rows],
+                               [row[2] for row in wide.rows], rtol=1e-5)
 
 
 @pytest.mark.parametrize("kind", models.MODEL_KINDS)
