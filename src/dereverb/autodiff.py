@@ -248,15 +248,14 @@ def reshape(a, shape) -> Tensor:
     return _node(a.data.reshape(shape), (a,), bwd)
 
 
-def transpose(a, axes=None) -> Tensor:
+def transpose(a) -> Tensor:
+    """`a` with its axes reversed."""
     a = as_tensor(a)
-    axes = tuple(axes) if axes is not None else tuple(reversed(range(a.data.ndim)))
-    inverse = np.argsort(axes)
 
     def bwd(g):
-        accumulate(a, g.transpose(inverse))
+        accumulate(a, g.T)
 
-    return _node(a.data.transpose(axes), (a,), bwd)
+    return _node(a.data.T, (a,), bwd)
 
 
 def concat(tensors, axis=0) -> Tensor:

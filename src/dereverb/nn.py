@@ -405,12 +405,9 @@ def bigru_layer(seq, fwd_params: GruParams, bwd_params: GruParams) -> Tensor:
 # Initialization
 # ---------------------------------------------------------------------------
 
-def glorot_uniform(rng, shape, fan_in=None, fan_out=None) -> np.ndarray:
-    if fan_in is None:
-        fan_in = shape[0] if len(shape) == 2 else int(np.prod(shape[:-1]))
-    if fan_out is None:
-        fan_out = shape[-1]
-    limit = math.sqrt(6.0 / (fan_in + fan_out))
+def glorot_uniform(rng, shape) -> np.ndarray:
+    """Uniform draws of Glorot's variance; every axis but the last fans in."""
+    limit = math.sqrt(6.0 / (math.prod(shape[:-1]) + shape[-1]))
     return rng.uniform(-limit, limit, shape)
 
 

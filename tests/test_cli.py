@@ -1,36 +1,48 @@
+import itertools
 import json
+import os
 import re
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dereverb
 from dereverb import autodiff as ad
 from dereverb import cli, corpus, dsp, models, trainer
 from dereverb.errors import VersionMismatch
 from conftest import make_dry_clip, make_rir_clip
+from test_dsp import upfirdn_resample
 from test_trainer import DEEP_JSON, poison_a_gradient
+
+
+def write_corpus(root, dry_rate=16000, rir_rates=(16000,)):
+    """4 dry WAVs; 10 RIRs in 4 groups (3+3+2+2), enough for val 3 / test 3.
+    The RIRs cycle through `rir_rates`."""
+    rng = np.random.default_rng(777)
+    dry_dir = root / "dry"
+    rir_dir = root / "rir"
+    dry_dir.mkdir(parents=True)
+    rir_dir.mkdir()
+    for i in range(4):
+        dsp.write_wav(dry_dir / f"utt{i}.wav", make_dry_clip(rng, seconds=1.5, rate=dry_rate),
+                      format="float32")
+    sizes = {"roomA": 3, "roomB": 3, "roomC": 2, "roomD": 2}
+    rates = itertools.cycle(rir_rates)
+    for group, n in sizes.items():
+        for mic in range(n):
+            clip = make_rir_clip(rng, onset=int(rng.integers(0, 300)), decay_s=0.15,
+                                 seconds=0.4, rate=next(rates))
+            dsp.write_wav(rir_dir / f"{group}_m{mic}.wav", clip, format="float32")
+    return {"dry": dry_dir, "rir": rir_dir, "root": root}
 
 
 @pytest.fixture
 def pipeline_corpus(tmp_path):
-    """4 dry WAVs; 10 RIRs in 4 groups (3+3+2+2), enough for val 3 / test 3."""
-    rng = np.random.default_rng(777)
-    dry_dir = tmp_path / "dry"
-    rir_dir = tmp_path / "rir"
-    dry_dir.mkdir()
-    rir_dir.mkdir()
-    for i in range(4):
-        dsp.write_wav(dry_dir / f"utt{i}.wav", make_dry_clip(rng, seconds=1.5),
-                      format="float32")
-    sizes = {"roomA": 3, "roomB": 3, "roomC": 2, "roomD": 2}
-    for group, n in sizes.items():
-        for mic in range(n):
-            clip = make_rir_clip(rng, onset=int(rng.integers(0, 300)),
-                                 decay_s=0.15, seconds=0.4)
-            dsp.write_wav(rir_dir / f"{group}_m{mic}.wav", clip, format="float32")
-    return {"dry": dry_dir, "rir": rir_dir, "root": tmp_path}
+    return write_corpus(tmp_path)
 
 
 def run(args):
@@ -219,6 +231,43 @@ def test_synth_prepares_each_source_once(pipeline_corpus, tmp_path, monkeypatch,
         oracle = tmp_path / "oracle.drvb"
         corpus.save_example(corpus.synthesize_example(pair, manifest), oracle)
         assert (out / corpus.pair_cache_name(pair)).read_bytes() == oracle.read_bytes()
+
+
+def test_synth_resamples_mixed_rates_as_upfirdn_did(tmp_path, monkeypatch):
+    pc = write_corpus(tmp_path / "corpus", dry_rate=22050, rir_rates=(44100, 48000))
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pc, manifest_path)) == 0
+    written, resampled = [], []
+    for resample in (dsp.resample, upfirdn_resample):
+        calls = []
+
+        def recorded(clip, target_rate, resample=resample):
+            out = resample(clip, target_rate)
+            calls.append((clip.sample_rate, out.samples.tobytes()))
+            return out
+
+        monkeypatch.setattr(dsp, "resample", recorded)
+        out = tmp_path / f"cache{len(written)}"
+        assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                    str(pc["dry"]), "--rirs-per-dry", "2", "--seed", "1",
+                    "--out-dir", str(out)]) == 0
+        written.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        resampled.append(calls)
+    assert {rate for rate, _ in resampled[0]} == {22050, 44100, 48000}
+    assert resampled[0] == resampled[1]
+    assert len(written[0]) == 9   # 4 dry clips x 2 RIRs, and the manifest
+    assert written[0] == written[1]
+
+
+def test_importing_the_cli_loads_no_scipy_signal():
+    src = str(Path(dereverb.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = ("import sys, dereverb.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))")
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120, check=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_synth_empty_split_exits_2(pipeline_corpus, tmp_path):

@@ -1,7 +1,11 @@
+import tracemalloc
+from math import gcd
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from scipy.signal import upfirdn
 
 from dereverb import dsp
 from dereverb.errors import (
@@ -241,6 +245,65 @@ def test_resample_dc_gain(src, dst):
 def test_resample_rejects_bad_rate():
     with pytest.raises(ValueError):
         dsp.resample(clip([0.0]), 0)
+
+
+def upfirdn_resample(clip, target_rate):
+    """The former `dsp.resample`, whose core was scipy.signal.upfirdn: the
+    oracle the numpy polyphase loop must equal byte for byte."""
+    if clip.sample_rate == target_rate:
+        return clip
+    g = gcd(clip.sample_rate, target_rate)
+    up, down = target_rate // g, clip.sample_rate // g
+    n_out = int(round(len(clip) * target_rate / clip.sample_rate))
+
+    n = 32 * up + 1
+    center = (n - 1) // 2
+    cutoff = 0.5 / max(up, down)
+    t = np.arange(n) - center
+    h = 2.0 * cutoff * np.sinc(2.0 * cutoff * t) * np.kaiser(n, 8.6)
+    h *= up / h.sum()
+
+    lead = (-(32 // 2)) % down
+    first = (center + lead * up) // down
+    x = np.concatenate([np.zeros(lead), clip.samples, np.zeros(32)])
+    y = upfirdn(h, x, up, down)
+    return dsp.AudioClip(y[first:first + n_out], target_rate)
+
+
+RATE_PAIRS = [(rate, 16000) for rate in
+              (8000, 11025, 22050, 32000, 44100, 48000, 96000, 1000003)] + [(16000, 44100)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(rates=st.sampled_from(RATE_PAIRS),
+       length=st.one_of(st.integers(1, 64), st.integers(1, 30000)),
+       seed=st.integers(0, 2**32 - 1))
+def test_resample_equals_upfirdn_byte_for_byte(rates, length, seed):
+    # short lengths give fewer outputs than `up` (160 at 44.1 kHz, 16000
+    # at 1,000,003 Hz), so the output grid has fewer columns than phases
+    source, target = rates
+    c = dsp.AudioClip(np.random.default_rng(seed).uniform(-1, 1, length), source)
+    got = dsp.resample(c, target).samples
+    want = upfirdn_resample(c, target).samples
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+def test_resample_memory_does_not_grow_with_the_claimed_rate():
+    # both rates are coprime with 16 kHz, so both build a 16000-phase
+    # filter of the same size; at the higher one the former code zero-padded
+    # the clip with 16 million samples
+    samples = np.random.default_rng(0).uniform(-1, 1, 2000)
+    peaks = []
+    for rate in (1_000_003, 16_000_057):
+        tracemalloc.start()
+        try:
+            out = dsp.resample(dsp.AudioClip(samples, rate), 16000)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert len(out) == round(2000 * 16000 / rate) > 0
+    assert peaks[1] <= 1.2 * peaks[0]
 
 
 # --- convolution --------------------------------------------------------
