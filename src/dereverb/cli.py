@@ -11,7 +11,9 @@ gradcheck compares finite differences with the gradient of
 tiny model on one random example. Only synth takes --threads, its worker
 count (at least 1). synth reads and analyses each dry file and each RIR
 once, however many pairs use it, and writes each example as soon as it is
-mixed.
+mixed. Every command fixes the C allocator's thresholds first
+(`corpus.keep_freed_memory`), so an example's arrays are reused by the next
+rather than returned to the OS and faulted in again.
 """
 
 from __future__ import annotations
@@ -186,8 +188,14 @@ def cmd_synth(args) -> int:
             corpus.save_example(corpus.mix(dry, rirs[pair.rir_id]),
                                 out_dir / corpus.pair_cache_name(pair))
 
-    with ThreadPoolExecutor(max_workers=args.threads) as pool:
-        list(pool.map(render, groups))
+    # one worker renders in this thread: a fresh worker thread can find the
+    # last one's malloc arena not yet released and fault in a new one
+    if args.threads == 1:
+        for group in groups:
+            render(group)
+    else:
+        with ThreadPoolExecutor(max_workers=args.threads) as pool:
+            list(pool.map(render, groups))
 
     # replace this split's pairings, keep any other split's
     by_id = {r.id: r.split for r in manifest.rirs}
@@ -308,6 +316,7 @@ def cmd_info(args) -> int:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     _print_config(args)
+    corpus.keep_freed_memory()
     try:
         return args.func(args)
     except NonFiniteLoss as exc:

@@ -12,6 +12,7 @@ constants.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 import logging
@@ -341,6 +342,37 @@ def pair_cache_name(pair: PairRecord) -> str:
     digest = hashlib.sha1(
         f"{pair.dry_path}|{pair.rir_id}|{pair.seed}".encode()).hexdigest()
     return f"ex_{digest[:16]}.drvb"
+
+
+# ---------------------------------------------------------------------------
+# Allocator thresholds, set by every command
+# ---------------------------------------------------------------------------
+
+# glibc's mallopt parameters (malloc.h) and the values its dynamic thresholds
+# reach at their ceiling on 64-bit: mmap at 32 MiB, trim at twice that
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 32 << 20
+
+
+def keep_freed_memory():
+    """Have the C allocator keep what one example frees for the next.
+
+    Every command works one example at a time on arrays of about 1 MB
+    (spectra, convolutions, STFT frames, a training step's graph). At glibc's
+    default thresholds each is returned to the OS when it is freed (mmapped
+    blocks, a trimmed heap top) and faulted in again for the next example: a
+    32-example benchmark `synth` round made about 38,000 minor page faults,
+    and fewer than 10 with these thresholds. Fixed thresholds also keep that
+    from depending on what the process allocated before. `cli.main` calls
+    this for every command, and `trainer.train` for callers without the
+    command line. A no-op where the C library has no `mallopt`."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
 
 
 # ---------------------------------------------------------------------------

@@ -20,12 +20,15 @@ continuing a run.
 
 A batch accumulates gradients one example at a time, and each example's
 backward pass frees that example's graph as it walks it, so training holds
-one example's activations at a time, whatever the batch size.
+one example's activations at a time, whatever the batch size. `train` fixes
+the C allocator's thresholds (`corpus.keep_freed_memory`), as `cli.main`
+does for every command, so a caller that trains without the command line
+gets them too: each step reuses the memory the last one freed, and a desk
+`joint` round makes 0-1.7k minor page faults rather than 16-22k.
 """
 
 from __future__ import annotations
 
-import ctypes
 import json
 import math
 import struct
@@ -201,29 +204,6 @@ def _component_values(parts):
 # Training loop
 # ---------------------------------------------------------------------------
 
-# glibc's mallopt parameters (malloc.h) and the values its dynamic thresholds
-# reach at their ceiling on 64-bit: mmap at 32 MiB, trim at twice that
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
-_MMAP_THRESHOLD = 32 << 20
-
-
-def _keep_freed_memory():
-    """Have the C allocator keep what a training step frees for the next step.
-
-    Backward frees each example's graph, so at glibc's default thresholds
-    every step returns its larger arrays to the OS (mmapped blocks, a trimmed
-    heap top) and page-faults them in again; fixed thresholds also keep that
-    from depending on what the process allocated before. A no-op where the C
-    library has no `mallopt`."""
-    try:
-        mallopt = ctypes.CDLL(None).mallopt
-    except (OSError, TypeError, AttributeError):
-        return
-    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
-    mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
-
-
 def train(config: TrainConfig, train_examples, val_examples=(),
           checkpoint_path=None, log_path=None):
     """Train a fresh model in float32 and return (model, rows, final checkpoint).
@@ -240,7 +220,7 @@ def train(config: TrainConfig, train_examples, val_examples=(),
     if not train_examples:
         raise EmptySplit("no training examples")
 
-    _keep_freed_memory()
+    corpus.keep_freed_memory()
     with ad.precision(np.float32):
         model = models.build_model(config.model, scale=config.scale,
                                    rng=rng_for(config.seed, "init"))

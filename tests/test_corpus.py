@@ -285,7 +285,7 @@ def synthesize_by_pair(pair, manifest):
     reverb = dsp.AudioClip(reverb[offset:], dsp.SAMPLE_RATE)
     padded = rir if len(rir) >= corpus.RIR_MIN_SAMPLES \
         else dsp.fix_length(rir, corpus.RIR_MIN_SAMPLES)
-    mags = [np.hypot(spec.real, spec.imag) for spec in map(dsp.stft, (
+    mags = [np.abs(spec) for spec in map(dsp.stft, (
         dsp.fix_length(trimmed, corpus.CLIP_SAMPLES),
         dsp.fix_length(reverb, corpus.CLIP_SAMPLES), padded))]
     dry_scale, reverb_scale, rir_scale = (float(m.max()) for m in mags)

@@ -3,7 +3,7 @@ from math import gcd
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.signal import upfirdn
 
@@ -440,6 +440,30 @@ def test_istft_preserves_sine_rms():
 def test_magnitude_345():
     mag, peak = dsp.normalized_magnitude(np.full((1, 257), 3.0 + 4.0j))
     assert np.all(mag == 1.0) and peak == 5.0
+
+
+# zeros, subnormal parts, parts near +-1e300, and anything between
+PARTS = st.one_of(st.sampled_from([0.0, -0.0]),
+                  st.floats(-2.2e-308, 2.2e-308),
+                  st.floats(1e299, 1.5e300) | st.floats(-1.5e300, -1e299),
+                  st.floats(-1.5e300, 1.5e300))
+
+
+@settings(max_examples=300, deadline=None)
+@given(parts=st.lists(st.tuples(PARTS, PARTS), min_size=1, max_size=64))
+@example(parts=[(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0)])
+def test_magnitude_within_2_ulp_of_hypot(parts):
+    spec = np.array([complex(re, im) for re, im in parts])
+    hypot = np.hypot(spec.real, spec.imag)
+    # a one-value spectrum is its own peak, so the peaks show each magnitude
+    peaks = [dsp.normalized_magnitude(spec[i:i + 1])[1] for i in range(len(spec))]
+    np.testing.assert_array_max_ulp(np.array(peaks), hypot, maxulp=2)
+    mag, peak = dsp.normalized_magnitude(spec)
+    if hypot.any():
+        np.testing.assert_array_max_ulp(peak, hypot.max(), maxulp=2)
+        assert mag.max() == 1.0
+    else:
+        assert peak == 0.0 and mag.shape == spec.shape and not mag.any()
 
 
 def test_log_magnitude_floor():
