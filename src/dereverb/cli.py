@@ -11,9 +11,7 @@ gradcheck compares finite differences with the gradient of
 tiny model on one random example. Only synth takes --threads, its worker
 count (at least 1). synth reads and analyses each dry file and each RIR
 once, however many pairs use it, and writes each example as soon as it is
-mixed. Every command fixes the C allocator's thresholds first
-(`corpus.keep_freed_memory`), so an example's arrays are reused by the next
-rather than returned to the OS and faulted in again.
+mixed.
 """
 
 from __future__ import annotations
