@@ -423,6 +423,9 @@ def load_example(path) -> TrainingExample:
     if magic != CACHE_MAGIC:
         raise ParseError(f"{path}: bad magic {magic!r}")
     if version != CACHE_VERSION:
+        if raw[16:17] == b"{":   # a checkpoint shares the magic; its JSON metadata starts here
+            raise ParseError(f"{path}: not an example cache (JSON metadata after the header; "
+                             "a checkpoint file?)")
         raise VersionMismatch(f"{path}: cache version {version}")
     shapes = [(dims[0], dims[1]), (dims[2], dims[3]), (dims[4], dims[5])]
     counts = [a * b for a, b in shapes]

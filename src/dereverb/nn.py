@@ -12,6 +12,10 @@ shapes alone: the column core (im2col GEMMs) for any stride and kernel, and a
 spectral path (real FFTs along time) for a stride-(1, 1) kernel one bin wide
 when an operation count says it is cheaper. Both give the same numbers up
 to rounding. :func:`conv2d_transposed` always takes the column core.
+
+Only the spectral path needs `scipy.fft`, and it imports it when it first
+runs: the import costs about 0.3 s and 27 MB in a fresh process, which
+synthesis, the dry estimators and `info` never pay.
 """
 
 from __future__ import annotations
@@ -19,7 +23,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-import scipy.fft as sfft
 
 from .autodiff import Tensor, accumulate, add, as_tensor, backward, matmul, no_grad, _node
 from .errors import ShapeMismatch
@@ -112,7 +115,7 @@ def _kernel_grad(x, g, kernel_shape, stride):
 # layers; every weight from 0.8 to 5.1 picks the same layers of the desk and
 # paper stacks.
 #
-# The FFT length n is next_fast_len(T), not T: on desk trunk1 (T = 305 =
+# The FFT length n is _fast_len(T), not T: on desk trunk1 (T = 305 =
 # 5 * 61) a 305-point forward was slower than the column core and a
 # 320-point one 1.7 times faster. Any n >= T keeps the circular products
 # exact, since no valid output, kernel lag or adjoint row reaches past T.
@@ -121,13 +124,32 @@ def _kernel_grad(x, g, kernel_shape, stride):
 # copy of every layer's input until the backward and raised train-joint
 # peak RSS by a tenth. scipy.fft keeps float32 as complex64 and runs one
 # worker.
+#
+# _fast_len is scipy.fft.next_fast_len(T, real=True) without scipy, so
+# conv_path (which `info` also calls) never loads it. The two transforms
+# import scipy.fft (334 modules) when they first run, so a process pays for
+# it only once a spectral layer runs.
 
 _FFT_COST = 3.0
 
 
+def _fast_len(t):
+    """The least 2^a * 3^b * 5^c >= t (t >= 1): the real-FFT length
+    `scipy.fft.next_fast_len(t, real=True)` gives."""
+    best = 1 << (t - 1).bit_length()   # the least power of 2
+    five = 1
+    while five < best:
+        m = five
+        while m < best:   # m = 3^b * 5^c; the least m * 2^a >= t
+            best = min(best, m << (-(-t // m) - 1).bit_length())
+            m *= 3
+        five *= 5
+    return best
+
+
 def _spectral_is_cheaper(t_in, k_t, c_in, c_out):
     """Whether one forward pass costs fewer operations as spectra, per bin."""
-    n = sfft.next_fast_len(t_in, real=True)
+    n = _fast_len(t_in)
     columns = (t_in - k_t + 1) * k_t * c_in * c_out
     spectral = 4 * (n // 2 + 1) * c_in * c_out + _FFT_COST * (c_in + c_out) * n * math.log2(n)
     return spectral < columns
@@ -143,7 +165,8 @@ def conv_path(x_shape, kernel_shape, stride=(1, 1)) -> str:
 
 def _spectral_correlate(x, kernel):
     """:func:`_correlate` at stride (1, 1) and kF = 1, as spectra along time."""
-    n = sfft.next_fast_len(len(x), real=True)
+    import scipy.fft as sfft
+    n = _fast_len(len(x))
     k_hat = sfft.rfft(kernel[:, 0], n, axis=0)
     y = sfft.irfft(sfft.rfft(x, n, axis=0) @ k_hat.conj(), n, axis=0)
     return y[:len(x) - len(kernel) + 1]
@@ -152,7 +175,8 @@ def _spectral_correlate(x, kernel):
 def _spectral_grads(x, g, kernel, need_x):
     """Kernel and input gradients of :func:`_spectral_correlate` for output
     gradient g; the input gradient is None unless `need_x`."""
-    n = sfft.next_fast_len(len(x), real=True)
+    import scipy.fft as sfft
+    n = _fast_len(len(x))
     k_hat = sfft.rfft(kernel[:, 0], n, axis=0)
     g_hat = sfft.rfft(g, n, axis=0)
     x_hat = sfft.rfft(x, n, axis=0).transpose(0, 2, 1)
@@ -261,19 +285,16 @@ class GruParams:
     Input weights `w` are [Din, 3Dh], recurrent weights `u` are [Dh, 3Dh] and
     biases `b` are [3Dh]. Each holds the gates' columns in the order update
     (z), reset (r), candidate (h): columns [:Dh] feed z, [Dh:2Dh] r and
-    [2Dh:] h. Random weights are drawn gate by gate (Glorot input weights,
-    an orthogonal recurrent matrix, zero biases) and joined once here.
+    [2Dh:] h. The weights are drawn from `rng` gate by gate (Glorot input
+    weights, an orthogonal recurrent matrix, zero biases) and joined once here.
     """
 
-    def __init__(self, d_in, d_hidden, rng=None):
+    def __init__(self, d_in, d_hidden, rng):
         self.d_in = d_in
         self.d_hidden = d_hidden
-        if rng is None:
-            w, u = np.zeros((d_in, 3 * d_hidden)), np.zeros((d_hidden, 3 * d_hidden))
-        else:
-            gates = [(glorot_uniform(rng, (d_in, d_hidden)), orthogonal(rng, d_hidden))
-                     for _ in "zrh"]
-            w, u = map(np.hstack, zip(*gates))
+        gates = [(glorot_uniform(rng, (d_in, d_hidden)), orthogonal(rng, d_hidden))
+                 for _ in "zrh"]
+        w, u = map(np.hstack, zip(*gates))
         self.w, self.u, self.b = Tensor(w), Tensor(u), Tensor(np.zeros(3 * d_hidden))
 
     def tensors(self):

@@ -13,6 +13,7 @@ import pytest
 from dereverb import autodiff as ad
 from dereverb import cli, corpus, dsp, evaluation, models, nn, trainer
 from conftest import make_dry_clip, make_rir_clip
+from test_cli import run_cli_in_a_fresh_process
 from test_corpus import SPLIT_SIZES, fake_records
 from test_models import naive_frame_convolve
 
@@ -267,34 +268,47 @@ def test_criterion_7_pipeline_determinism(tmp_path):
                                  decay_s=0.15, seconds=0.4)
             dsp.write_wav(rir_dir / f"{group}_m{mic}.wav", clip, format="float32")
 
-    def pipeline(root):
+    def commands(root):
+        """prepare, synth and train command lines writing under `root`."""
         root.mkdir()
-        manifest = root / "manifest.jsonl"
-        assert cli.main(["prepare", "--rir-dir", str(rir_dir),
-                         "--group-pattern", r"^(room[A-Z])", "--val", "3",
-                         "--test", "3", "--seed", "21",
-                         "--out", str(manifest)]) == 0
-        cache = root / "cache"
-        assert cli.main(["synth", "--manifest", str(manifest), "--dry-dir",
-                         str(dry_dir), "--rirs-per-dry", "2", "--seed", "21",
-                         "--out-dir", str(cache)]) == 0
+        manifest, cache = root / "manifest.jsonl", root / "cache"
+        return [["prepare", "--rir-dir", str(rir_dir),
+                 "--group-pattern", r"^(room[A-Z])", "--val", "3",
+                 "--test", "3", "--seed", "21", "--out", str(manifest)],
+                ["synth", "--manifest", str(manifest), "--dry-dir",
+                 str(dry_dir), "--rirs-per-dry", "2", "--seed", "21",
+                 "--out-dir", str(cache)],
+                ["train", "--manifest", str(cache / "manifest.jsonl"),
+                 "--model", "joint", "--epochs", "3", "--batch", "4",
+                 "--seed", "21", "--out", str(root / "model.ckpt")]]
+
+    def written(root):
         ckpt = root / "model.ckpt"
-        assert cli.main(["train", "--manifest", str(cache / "manifest.jsonl"),
-                         "--model", "joint", "--epochs", "3", "--batch", "4",
-                         "--seed", "21", "--out", str(ckpt)]) == 0
-        files = {}
-        for p in sorted([manifest, *cache.iterdir(), ckpt,
-                         ckpt.with_suffix(".csv")]):
-            files[p.name] = p.read_bytes()
-        return files
+        return {p.name: p.read_bytes() for p in sorted(
+            [root / "manifest.jsonl", *(root / "cache").iterdir(), ckpt,
+             ckpt.with_suffix(".csv")])}
+
+    def pipeline(root):
+        for argv in commands(root):
+            assert cli.main(argv) == 0
+        return written(root)
 
     a = pipeline(tmp_path / "runA")
     b = pipeline(tmp_path / "runB")
-    same_names = sorted(a) == sorted(b)
-    diffs = [name for name in a if a[name] != b.get(name)]
+    # once more in a fresh process, where scipy.fft is first imported by the
+    # first spectral layer of training. It inherits this session's
+    # environment, so both sides run one BLAS thread count (the CI pins one):
+    # across thread counts the trained bits differ.
+    runs = run_cli_in_a_fresh_process(commands(tmp_path / "runC"))
+    assert [code for code, _ in runs] == [0, 0, 0]
+    assert [("scipy.fft" in loaded) for _, loaded in runs] == [False, False, True]
+    fresh = written(tmp_path / "runC")
+    same_names = sorted(a) == sorted(b) == sorted(fresh)
+    diffs = [name for name in a if not a[name] == b.get(name) == fresh.get(name)]
     n_examples = sum(1 for name in a if name.endswith(".drvb"))
     c.finish(same_names and not diffs,
-             f"{n_examples} cached examples, differing files: {diffs}")
+             f"{n_examples} cached examples, three runs (one in a fresh process), "
+             f"differing files: {diffs}")
 
 
 def test_criterion_8_t60_closed_form():

@@ -269,10 +269,51 @@ def run_python(*args):
                           text=True, timeout=120, check=True).stdout
 
 
-def test_importing_the_cli_loads_no_scipy_signal():
+def test_importing_the_cli_loads_no_scipy():
     code = ("import sys, dereverb.cli; "
-            "print(sorted(m for m in sys.modules if m.split('.')[:2] == ['scipy', 'signal']))")
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     assert run_python("-c", code).strip() == "[]"
+
+
+# argv: a JSON list of command lines, run in turn through cli.main; after
+# each, prints a line with its exit code and the scipy modules loaded so far
+CLI_RUNS = """
+import json, sys
+from dereverb import cli
+
+for argv in json.loads(sys.argv[1]):
+    code = cli.main(argv)
+    scipy = sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy')
+    print('cli-run:', json.dumps([code, scipy]))
+"""
+
+
+def run_cli_in_a_fresh_process(commands):
+    """Run each command line through `cli.main`, in order, in one fresh
+    process; returns each one's exit code and the scipy modules loaded by
+    its end."""
+    printed = run_python("-c", CLI_RUNS, json.dumps([list(map(str, c)) for c in commands]))
+    return [tuple(json.loads(line.removeprefix("cli-run:")))
+            for line in printed.splitlines() if line.startswith("cli-run:")]
+
+
+def test_synthesis_and_the_dry_estimators_never_load_scipy(pipeline_corpus, tmp_path):
+    # only the spectral conv path of the rir and joint models needs scipy.fft;
+    # `info` chooses each layer's path, spectral ones included, without it
+    manifest, cache, ckpt = tmp_path / "m.jsonl", tmp_path / "cache", tmp_path / "m.ckpt"
+    commands = [
+        prepare_args(pipeline_corpus, manifest),
+        ["synth", "--manifest", manifest, "--dry-dir", pipeline_corpus["dry"],
+         "--out-dir", cache],
+        ["train", "--manifest", cache / "manifest.jsonl", "--model", "dry-unet",
+         "--epochs", "1", "--out", ckpt],
+        ["eval", "--ckpt", ckpt, "--manifest", cache / "manifest.jsonl", "--split", "train",
+         "--report", tmp_path / "report.csv"],
+        ["info", "--model", "joint"],
+        ["gradcheck", "--model", "dry-gru"],
+        ["gradcheck", "--model", "dry-unet"],
+    ]
+    assert run_cli_in_a_fresh_process(commands) == [(0, [])] * len(commands)
 
 
 # argv: manifest, dry dir, then one output directory per run; prints each
@@ -668,6 +709,24 @@ def test_info_cache_file_is_not_a_checkpoint(tmp_path, capsys):
     corpus.save_example(example, tmp_path / "ex.drvb")
     assert run(["info", "--ckpt", str(tmp_path / "ex.drvb")]) == 2
     assert "not a checkpoint" in capsys.readouterr().err
+
+
+def test_checkpoint_in_place_of_a_cache_file_exits_2(pipeline_corpus, tmp_path, capsys):
+    manifest_path = tmp_path / "m.jsonl"
+    assert run(prepare_args(pipeline_corpus, manifest_path)) == 0
+    cache = tmp_path / "cache"
+    assert run(["synth", "--manifest", str(manifest_path), "--dry-dir",
+                str(pipeline_corpus["dry"]), "--out-dir", str(cache)]) == 0
+    model = models.build_tiny_model("rir", np.random.default_rng(0))
+    ckpt = tmp_path / "m.ckpt"
+    trainer.save_checkpoint(trainer.checkpoint_from_model(model, 1), ckpt)
+    for f in cache.glob("*.drvb"):
+        f.write_bytes(ckpt.read_bytes())
+    capsys.readouterr()
+    assert run(["eval", "--ckpt", str(ckpt), "--manifest", str(cache / "manifest.jsonl"),
+                "--split", "train", "--report", str(tmp_path / "r.csv")]) == 2
+    err = capsys.readouterr().err
+    assert "not an example cache" in err and "a checkpoint file?" in err
 
 
 def test_info_requires_source():

@@ -371,6 +371,13 @@ def test_example_cache_rejects_bad_version(tmp_path):
         corpus.load_example(path)
 
 
+def test_example_cache_names_a_checkpoint(tmp_path):
+    path = tmp_path / "m.ckpt"
+    write_checkpoint(path, 1)
+    with pytest.raises(ParseError, match="a checkpoint file"):
+        corpus.load_example(path)
+
+
 @st.composite
 def cache_files(draw):
     """Example-cache bytes from fuzzed fields: magic, version and the six

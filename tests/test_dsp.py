@@ -208,9 +208,15 @@ def test_any_bytes_read_as_a_clip_or_a_dereverb_error(tmp_path, raw):
     assert_clip_or_dereverb_error(tmp_path / "fuzz.wav", raw)
 
 
+# a float32 WAV whose one sample is a signalling NaN (0x7f810000)
+SIGNALLING_NAN_WAV = (b"RIFF(\x00\x00\x00WAVEfmt \x10\x00\x00\x00\x03\x00\x01\x00\x80>\x00\x00"
+                      b"\x00\x00\x00\x00\x00\x00 \x00data\x04\x00\x00\x00\x00\x00\x81\x7f")
+
+
 @settings(max_examples=500, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(raw=riff_files())
+@example(raw=SIGNALLING_NAN_WAV)
 def test_any_riff_header_reads_as_a_clip_or_a_dereverb_error(tmp_path, raw):
     assert_clip_or_dereverb_error(tmp_path / "fuzz.wav", raw)
 
@@ -296,6 +302,7 @@ def test_resample_memory_does_not_grow_with_the_claimed_rate():
     samples = np.random.default_rng(0).uniform(-1, 1, 2000)
     peaks = []
     for rate in (1_000_003, 16_000_057):
+        dsp._resample_filter.cache_clear()   # measure the filter's design too
         tracemalloc.start()
         try:
             out = dsp.resample(dsp.AudioClip(samples, rate), 16000)
@@ -304,6 +311,22 @@ def test_resample_memory_does_not_grow_with_the_claimed_rate():
             tracemalloc.stop()
         assert len(out) == round(2000 * 16000 / rate) > 0
     assert peaks[1] <= 1.2 * peaks[0]
+
+
+def test_clips_at_one_rate_pair_design_the_filter_once(monkeypatch):
+    designs = []
+    kaiser = np.kaiser
+    monkeypatch.setattr(np, "kaiser", lambda *args: designs.append(args) or kaiser(*args))
+    dsp._resample_filter.cache_clear()
+    rng = np.random.default_rng(5)
+    clips = [dsp.AudioClip(rng.uniform(-1, 1, n), 44100) for n in (100, 4410, 30000)]
+    got = [dsp.resample(c, 16000).samples for c in clips]
+    assert len(designs) == 1
+    dsp.resample(dsp.AudioClip(rng.uniform(-1, 1, 100), 48000), 16000)
+    assert len(designs) == 2
+    assert not dsp._resample_filter(160, 441).flags.writeable
+    for c, samples in zip(clips, got):
+        assert samples.tobytes() == upfirdn_resample(c, 16000).samples.tobytes()
 
 
 # --- convolution --------------------------------------------------------

@@ -290,6 +290,12 @@ def test_column_core_matches_tap_loops(case, rows, monkeypatch):
 
 # --- the spectral path ---------------------------------------------------
 
+def test_fast_len_is_scipys_real_fft_length():
+    from scipy.fft import next_fast_len   # the oracle; nn imports scipy.fft only to transform
+    lengths = range(1, 40_001)
+    assert [nn._fast_len(t) for t in lengths] == [next_fast_len(t, real=True) for t in lengths]
+
+
 def force_spectral(monkeypatch):
     monkeypatch.setattr(nn, "_spectral_is_cheaper", lambda *shape: True)
 
@@ -391,8 +397,16 @@ def test_gru_params_join_per_gate_draws():
     assert [t.data.shape for t in p.tensors()] == [(5, 12), (4, 12), (12,)]
 
 
+def zero_gru(d_in, d_hidden):
+    """A GRU direction whose weights and biases are all zero."""
+    p = nn.GruParams(d_in, d_hidden, np.random.default_rng(0))
+    for t in p.tensors():
+        t.data[...] = 0.0
+    return p
+
+
 def test_gru_cell_zero_params():
-    p = nn.GruParams(4, 3)
+    p = zero_gru(4, 3)
     out = nn.gru_cell(ad.Tensor(np.ones(4)), ad.Tensor(np.zeros(3)), p)
     np.testing.assert_array_equal(out.data, np.zeros(3))
 
@@ -422,7 +436,7 @@ def test_gru_cell_gradients_match_fd():
 
 
 def test_gru_cell_shape_check():
-    p = nn.GruParams(4, 3)
+    p = zero_gru(4, 3)
     with pytest.raises(ShapeMismatch):
         nn.gru_cell(ad.Tensor(np.zeros(5)), ad.Tensor(np.zeros(3)), p)
 
@@ -472,7 +486,7 @@ def test_bigru_gradients_match_fd():
                                           ((3, 5), 4), ((3, 4), 5)],
                          ids=["empty", "1-d", "3-d", "width", "directions-disagree"])
 def test_bigru_layer_rejects_bad_input(shape, d_bwd):
-    fwd, bwd = nn.GruParams(4, 3), nn.GruParams(d_bwd, 3)
+    fwd, bwd = zero_gru(4, 3), zero_gru(d_bwd, 3)
     with pytest.raises(ShapeMismatch):
         nn.bigru_layer(np.zeros(shape), fwd, bwd)
 
@@ -480,7 +494,7 @@ def test_bigru_layer_rejects_bad_input(shape, d_bwd):
 def test_float32_gru_saturates_without_floating_point_errors():
     # pre-activations of +-200: exp(200) overflows float32, the sigmoid is exact
     with ad.precision(np.float32):
-        fwd, bwd = nn.GruParams(2, 3), nn.GruParams(2, 3)
+        fwd, bwd = zero_gru(2, 3), zero_gru(2, 3)
         for p in (fwd, bwd):
             p.w.data[:] = np.tile([[100.0, 0, 0], [0, 100.0, 0]], 3)
             p.b.data[:] = np.tile([0, 0, -200.0], 3)
