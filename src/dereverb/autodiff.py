@@ -210,7 +210,23 @@ def mse(a, b) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    out = np.maximum(a.data, 0.0) + 0.0   # + 0.0 turns -0 into 0; NaN stays NaN
+    return _relu_into(a, np.empty_like(a.data))
+
+
+def elu(a) -> Tensor:
+    """x for x > 0, exp(x) - 1 otherwise (alpha 1)."""
+    a = as_tensor(a)
+    return _elu_into(a, np.empty_like(a.data))
+
+
+# The two forms `relu` and `elu` share. `out` may be `a.data` itself: each
+# rule takes its derivative from the output alone, so the activation can
+# overwrite its input when nothing else reads it (`nn.conv2d(activation=)`).
+
+def _relu_into(a: Tensor, out: np.ndarray) -> Tensor:
+    """ReLU of `a`, written into `out`."""
+    np.maximum(a.data, 0.0, out=out)
+    out += 0.0   # turns -0 into 0; NaN stays NaN
 
     def bwd(g):
         accumulate(a, g * (out > 0))
@@ -218,14 +234,14 @@ def relu(a) -> Tensor:
     return _node(out, (a,), bwd)
 
 
-def elu(a) -> Tensor:
-    """x for x > 0, exp(x) - 1 otherwise (alpha 1)."""
-    a = as_tensor(a)
+def _elu_into(a: Tensor, out: np.ndarray) -> Tensor:
+    """ELU of `a`, written into `out`."""
     # no mask: exp(x) - 1 is never above 0 for x <= 0, and x + 0.0 is x
-    out = np.minimum(a.data, 0.0, out=np.empty_like(a.data))   # an array, even 0-d
+    positive = np.maximum(a.data, 0.0)   # taken before `out` may overwrite `a`
+    np.minimum(a.data, 0.0, out=out)
     np.exp(out, out=out)
     out -= 1.0
-    out += np.maximum(a.data, 0.0)
+    out += positive
 
     def bwd(g):
         # the derivative from the output: 1 where out > 0, exp(x) = out + 1 elsewhere

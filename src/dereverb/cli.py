@@ -122,7 +122,7 @@ def build_parser() -> _Parser:
                        help="score a checkpoint on a split")
     p.add_argument("--ckpt", required=True)
     p.add_argument("--manifest", required=True)
-    p.add_argument("--split", default="test")
+    p.add_argument("--split", default="test", choices=["train", "val", "test"])
     p.add_argument("--report", default="report.csv")
     p.set_defaults(func=cmd_eval)
 

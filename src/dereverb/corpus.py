@@ -95,6 +95,13 @@ class TrainingExample:
     `input_logmag` is the log of `reverb_target_mag`; both views of the
     reverberant spectrogram are kept because the heads consume different
     domains. Scales are the per-spectrogram maxima divided out.
+
+    A loaded example (`load_example`) keeps its three targets as float32, as
+    the cache stores them: losses and metrics widen them exactly, so a
+    float64 copy would only take memory. `input_logmag` stays float64. It
+    and every `exp` of the dry target are taken in float64, since numpy's
+    float32 `log` and `exp` round differently. A synthesised example is
+    float64 throughout.
     """
 
     input_logmag: np.ndarray
@@ -436,13 +443,13 @@ def load_example(path) -> TrainingExample:
     arrays = []
     for (rows, cols), count in zip(shapes, counts):
         arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
-        arrays.append(arr.astype(np.float64).reshape(rows, cols))
+        arrays.append(arr.astype(np.float32).reshape(rows, cols))   # one writable copy
         offset += 4 * count
     dry_scale, rir_scale, reverb_scale = struct.unpack_from("<3f", raw, offset)
     dry_log, rir_mag, reverb_mag = arrays
     try:
         return TrainingExample(
-            input_logmag=dsp.log_magnitude(reverb_mag),
+            input_logmag=dsp.log_magnitude(reverb_mag.astype(np.float64)),
             dry_target_logmag=dry_log,
             rir_target_mag=rir_mag,
             reverb_target_mag=reverb_mag,

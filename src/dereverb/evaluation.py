@@ -1,5 +1,10 @@
 """Checkpoint evaluation: spectral distances for dry estimates, decay
 metrics for impulse-response estimates, CSV reports.
+
+Every metric is computed in float64. A loaded example's targets are float32
+(`corpus.TrainingExample`); arithmetic with a float64 estimate widens them
+exactly, and each `exp` of the dry target is taken in float64 explicitly, so
+a report has the same bytes as on the example widened to float64.
 """
 
 from __future__ import annotations
@@ -87,7 +92,7 @@ def _dry_metrics(report, example_id, est_logmag, example):
     report.add(example_id, "lsd_db",
                log_spectral_distance(est_logmag, example.dry_target_logmag))
     report.add(example_id, "dry_mag_mse", float(np.mean(
-        (np.exp(est_logmag) - np.exp(example.dry_target_logmag)) ** 2)))
+        (np.exp(est_logmag) - np.exp(example.dry_target_logmag, dtype=np.float64)) ** 2)))
 
 
 def _rir_metrics(report, example_id, rir_est, example):
@@ -134,7 +139,8 @@ def _score(report, example_id, est, example):
         _rir_metrics(report, example_id, est["rir"], example)
     if len(est) == 2:
         # `reconstruct_reverb`'s forward, kept off the engine and its precision
-        recon = models._frame_convolve(est["rir"], np.exp(example.dry_target_logmag))
+        recon = models._frame_convolve(est["rir"],
+                                       np.exp(example.dry_target_logmag, dtype=np.float64))
         report.add(example_id, "reconstruction_mse", float(np.mean(
             (recon - example.reverb_target_mag) ** 2)))
 

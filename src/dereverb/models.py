@@ -59,8 +59,9 @@ def _run_conv_stack(h, params, relu_last=True):
     # ELU between layers, ReLU after the last (non-negative magnitudes)
     n_layers = len(params) // 2
     for i in range(n_layers):
-        h = nn.conv2d(h, params[2 * i][1], params[2 * i + 1][1])
-        h = ad.relu(h) if relu_last and i == n_layers - 1 else ad.elu(h)
+        last = relu_last and i == n_layers - 1
+        h = nn.conv2d(h, params[2 * i][1], params[2 * i + 1][1],
+                      activation="relu" if last else "elu")
     return h
 
 
@@ -235,9 +236,8 @@ class UnetEstimator:
         s = (self.config.stride, self.config.stride)
         skips = []
         for i in range(self.config.depth):
-            h = ad.elu(nn.conv2d(h, self._by_name[f"enc{i}.kernel"],
-                                 self._by_name[f"enc{i}.bias"],
-                                 stride=s, padding="same"))
+            h = nn.conv2d(h, self._by_name[f"enc{i}.kernel"], self._by_name[f"enc{i}.bias"],
+                          stride=s, padding="same", activation="elu")
             skips.append(h)
 
         trim = (self.config.kernel - self.config.stride) // 2
@@ -249,7 +249,7 @@ class UnetEstimator:
             f_up = f_in * self.config.stride
             h = ad.slice2d(h, trim, trim + t_up, trim, trim + f_up)
             if i > 0:
-                h = ad.elu(h)
+                h = ad.elu(h)   # of a slice view, so out of place
                 h = ad.concat([h, skips[i - 1]], axis=2)
         h = ad.reshape(h, h.data.shape[:2])
         return {"dry": ad.slice2d(h, 0, t, 0, f)}
@@ -352,7 +352,9 @@ def joint_loss(dry_est, rir_est, example, weights=(1.0, 1.0, 1.0)):
     w_dry, w_rir, w_rec = weights
     l_dry = ad.mse(dry_est, example.dry_target_logmag)
     l_rir = ad.mse(rir_est, example.rir_target_mag)
-    reconstruction = reconstruct_reverb(rir_est, np.exp(example.dry_target_logmag))
+    # exp in float64 whatever the target's dtype: a loaded example stores it as float32
+    reconstruction = reconstruct_reverb(rir_est, np.exp(example.dry_target_logmag,
+                                                        dtype=np.float64))
     l_rec = ad.mse(reconstruction, example.reverb_target_mag)
     total = ad.add(ad.add(ad.mul(l_dry, w_dry), ad.mul(l_rir, w_rir)),
                    ad.mul(l_rec, w_rec))

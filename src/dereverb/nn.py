@@ -12,6 +12,8 @@ shapes alone: the column core (im2col GEMMs) for any stride and kernel, and a
 spectral path (real FFTs along time) for a stride-(1, 1) kernel one bin wide
 when an operation count says it is cheaper. Both give the same numbers up
 to rounding. :func:`conv2d_transposed` always takes the column core.
+:func:`conv2d` can apply an ELU or ReLU to its result in place
+(`activation=`): the same bits as the separate op, in one buffer, not two.
 
 Only the spectral path needs `scipy.fft`, and it imports it when it first
 runs: the import costs about 0.3 s and 27 MB in a fresh process, which
@@ -24,7 +26,8 @@ import math
 
 import numpy as np
 
-from .autodiff import Tensor, accumulate, add, as_tensor, backward, matmul, no_grad, _node
+from .autodiff import (Tensor, accumulate, add, as_tensor, backward, matmul, no_grad, _elu_into,
+                       _node, _relu_into)
 from .errors import ShapeMismatch
 
 
@@ -188,12 +191,23 @@ def _spectral_grads(x, g, kernel, need_x):
     return gk.reshape(kernel.shape), gx
 
 
-def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid") -> Tensor:
+_ACTIVATIONS = {None: None, "elu": _elu_into, "relu": _relu_into}
+
+
+def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid", activation=None) -> Tensor:
     """2-D convolution: [T,F,Cin] with kernel [kT,kF,Cin,Cout] -> [T',F',Cout].
 
     "valid" gives T' = (T-kT)/sT + 1; "same" gives T' = ceil(T/sT) via
     symmetric zero padding. Bias, when given, is one value per output channel.
+
+    `activation` "elu" or "relu" returns that activation of the result, in
+    value and gradients the bits of `ad.elu(conv2d(...))` or
+    `ad.relu(conv2d(...))`, written over the convolution's output: its node
+    is never returned, so no other op reads that output, and its rule reads
+    only the input and kernel.
     """
+    if activation not in _ACTIVATIONS:
+        raise ValueError(f"unknown activation {activation!r}")
     x, kernel = as_tensor(x), as_tensor(kernel)
     if x.data.ndim != 3 or kernel.data.ndim != 4:
         raise ShapeMismatch(f"conv2d on {x.data.shape} with {kernel.data.shape}")
@@ -237,7 +251,10 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid") -> Tensor:
             accumulate(bias, g.sum(axis=(0, 1)))
 
     parents = (x, kernel) if bias is None else (x, kernel, bias)
-    return _node(out, parents, bwd)
+    node = _node(out, parents, bwd)
+    if activation is None:
+        return node
+    return _ACTIVATIONS[activation](node, node.data)
 
 
 def conv2d_transposed(x, kernel, bias=None, stride=(1, 1)) -> Tensor:

@@ -1,9 +1,17 @@
-import numpy as np
-import pytest
-from hypothesis import settings
+import os
 
-from dereverb import autodiff as ad
-from dereverb import dsp
+# One BLAS thread, as CI runs: training bytes are reproducible only at one
+# thread, so every session checks them at the same setting. Set before numpy
+# loads its BLAS; subprocess tests inherit it.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_name] = "1"
+
+import numpy as np  # noqa: E402
+import pytest  # noqa: E402
+from hypothesis import settings  # noqa: E402
+
+from dereverb import autodiff as ad  # noqa: E402
+from dereverb import dsp  # noqa: E402
 
 # `pytest --hypothesis-profile=ci`: every run draws the same cases and keeps
 # no example database, so a CI failure reproduces from the commit alone

@@ -296,9 +296,9 @@ def test_criterion_7_pipeline_determinism(tmp_path):
     a = pipeline(tmp_path / "runA")
     b = pipeline(tmp_path / "runB")
     # once more in a fresh process, where scipy.fft is first imported by the
-    # first spectral layer of training. It inherits this session's
-    # environment, so both sides run one BLAS thread count (the CI pins one):
-    # across thread counts the trained bits differ.
+    # first spectral layer of training. It inherits the one BLAS thread that
+    # conftest pins for the session: across thread counts the trained bits
+    # differ.
     runs = run_cli_in_a_fresh_process(commands(tmp_path / "runC"))
     assert [code for code, _ in runs] == [0, 0, 0]
     assert [("scipy.fft" in loaded) for _, loaded in runs] == [False, False, True]

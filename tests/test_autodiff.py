@@ -94,6 +94,33 @@ def test_elu_relu_match_the_masked_forms_bit_for_bit(dtype):
     assert r[finite].tobytes() == np.where(x > 0, x, 0.0)[finite].tobytes()
 
 
+# zeros of both signs, infinities, NaN, float32 and float64 subnormals, and
+# values on either side of ELU's saturation
+EDGE_VALUES = [0.0, -0.0, np.inf, -np.inf, np.nan, 1e-40, -1e-40, 1e-310, -1e-310,
+               1.0, -1.0, -200.0, 100.0]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("name", ["elu", "relu"])
+def test_the_overwriting_activations_match_the_public_ops_bit_for_bit(name, dtype):
+    x = np.array(EDGE_VALUES, dtype)
+    g = np.linspace(-2.0, 2.0, len(x))
+    with ad.precision(dtype):
+        a = ad.Tensor(x.copy())
+        want = getattr(ad, name)(a)
+        ad.backward(total(ad.mul(want, g)))
+        b = ad.Tensor(x.copy())
+        got = getattr(ad, f"_{name}_into")(b, b.data)
+        ad.backward(total(ad.mul(got, g)))
+    assert got.data is b.data and want.data is not a.data
+    assert a.data.tobytes() == x.tobytes()   # the public op leaves its input alone
+    assert got.data.dtype == want.data.dtype == dtype
+    assert got.data.tobytes() == want.data.tobytes()
+    assert b.grad.tobytes() == a.grad.tobytes()
+    if name == "relu":   # NaN propagates and -0 becomes 0
+        assert np.isnan(got.data[4]) and not np.signbit(got.data[1])
+
+
 def test_relu_propagates_nan():
     r = ad.relu(ad.Tensor(np.array([np.nan, -1.0, 2.0])))
     np.testing.assert_array_equal(r.data, [np.nan, 0.0, 2.0])

@@ -1,3 +1,4 @@
+import inspect
 import itertools
 import json
 import os
@@ -86,6 +87,14 @@ def test_unknown_flag_exits_64():
     with pytest.raises(SystemExit) as exc:
         cli.main(["prepare", "--rir-dir", "x", "--bogus-flag", "1"])
     assert exc.value.code == 64
+
+
+def test_eval_of_an_unknown_split_exits_64(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["eval", "--ckpt", str(tmp_path / "m.ckpt"), "--manifest",
+                  str(tmp_path / "m.jsonl"), "--split", "tset"])
+    assert exc.value.code == 64
+    assert "invalid choice: 'tset'" in capsys.readouterr().err
 
 
 def test_prepare_missing_dir(tmp_path):
@@ -273,6 +282,32 @@ def test_importing_the_cli_loads_no_scipy():
     code = ("import sys, dereverb.cli; "
             "print(sorted(m for m in sys.modules if m.partition('.')[0] == 'scipy'))")
     assert run_python("-c", code).strip() == "[]"
+
+
+def blas_threads():
+    """The thread count each loaded copy of numpy's bundled OpenBLAS reports,
+    asked of the library itself; empty when numpy loaded another BLAS."""
+    import ctypes
+    with open("/proc/self/maps") as fh:
+        libs = sorted({line.split()[-1] for line in fh if "openblas" in line.lower()})
+    counts = []
+    for path in libs:
+        query = getattr(ctypes.CDLL(path), "scipy_openblas_get_num_threads64_", None)
+        if query is not None:
+            query.restype = ctypes.c_int
+            counts.append(query())
+    return counts
+
+
+def test_the_session_and_its_subprocesses_run_one_blas_thread():
+    # conftest pins one thread before numpy loads, as CI does, so the bytes
+    # of every training test are checked at the one setting that reproduces them
+    here = blas_threads()
+    if not here:
+        pytest.skip("numpy does not use its bundled OpenBLAS")
+    fresh = run_python("-c", "import numpy\n" + inspect.getsource(blas_threads)
+                       + "print(blas_threads())")
+    assert here == [1] and fresh.strip() == "[1]"
 
 
 # argv: a JSON list of command lines, run in turn through cli.main; after

@@ -322,10 +322,14 @@ def test_example_cache_round_trip(tmp_path):
     corpus.save_example(ex, path)
     assert path.read_bytes()[:4] == b"DRVB"
     back = corpus.load_example(path)
+    for name in ("dry_target_logmag", "rir_target_mag", "reverb_target_mag"):
+        assert getattr(back, name).dtype == np.float32, name   # as the cache stores them
+    assert back.input_logmag.dtype == np.float64
     assert np.abs(back.dry_target_logmag - ex.dry_target_logmag).max() < 1e-5
     assert np.abs(back.reverb_target_mag - ex.reverb_target_mag).max() < 1e-7
+    # the log is taken in float64, of the widened target
     np.testing.assert_array_equal(
-        back.input_logmag, np.log(np.maximum(back.reverb_target_mag, 1e-5)))
+        back.input_logmag, np.log(np.maximum(back.reverb_target_mag.astype(np.float64), 1e-5)))
 
 
 def test_example_cache_rejects_truncation(tmp_path):

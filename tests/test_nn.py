@@ -380,6 +380,81 @@ def test_spectral_conv2d_computes_in_float32(monkeypatch):
     assert [t.dtype for t in (out.data, x.grad, k.grad, b.grad)] == [np.float32] * 4
 
 
+# --- activations fused into conv2d -----------------------------------------
+
+# (input [T,F,Cin], kernel [kT,kF,Cin,Cout], stride, padding, spectral)
+FUSED_CASES = {
+    "columns": ((9, 4, 2), (3, 2, 2, 3), (1, 1), "valid", False),
+    "columns-strided-same": ((8, 8, 2), (4, 4, 2, 3), (2, 2), "same", False),
+    "spectral": ((12, 5, 3), (4, 1, 3, 2), (1, 1), "valid", True),
+}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("activation", ["elu", "relu"])
+@pytest.mark.parametrize("case", FUSED_CASES.values(), ids=FUSED_CASES.keys())
+def test_fused_activation_is_the_activation_of_the_conv_bit_for_bit(case, activation, dtype,
+                                                                    monkeypatch):
+    x_shape, k_shape, stride, padding, spectral = case
+    if spectral:
+        force_spectral(monkeypatch)
+    rng = np.random.default_rng(16)
+    with ad.precision(dtype):
+        leaves = [ad.Tensor(rng.standard_normal(s)) for s in (x_shape, k_shape, k_shape[3])]
+        xd, _ = padded(leaves[0].data, k_shape, stride, padding)
+        assert nn.conv_path(xd.shape, k_shape, stride) == ("spectral" if spectral else "columns")
+        unfused = lambda: getattr(ad, activation)(nn.conv2d(*leaves, stride, padding))
+        fused = lambda: nn.conv2d(*leaves, stride, padding, activation=activation)
+        g = rng.standard_normal(unfused().data.shape)
+        want, got = value_and_grads(unfused, leaves, g), value_and_grads(fused, leaves, g)
+        with ad.no_grad():
+            scored = fused().data
+    assert [a.dtype for a in got] == [np.dtype(dtype)] * 4
+    assert [a.tobytes() for a in got] == [a.tobytes() for a in want]
+    assert scored.tobytes() == want[0].tobytes()
+
+
+def test_conv2d_rejects_an_unknown_activation():
+    with pytest.raises(ValueError, match="unknown activation 'tanh'"):
+        nn.conv2d(np.ones((3, 3, 1)), np.ones((2, 2, 1, 1)), activation="tanh")
+
+
+def test_a_conv_rule_reading_its_overwritten_output_fails_the_gradient_check(monkeypatch):
+    """The activation may overwrite the convolution's output only because
+    conv2d's rule never reads it. A mutant whose rule does (it recovers its
+    input as output / k, exact for a one-channel 1x1 conv without bias) has
+    right gradients unfused and wrong ones fused."""
+    rng = np.random.default_rng(17)
+    x = ad.Tensor(rng.uniform(-3.0, 1.0, (6, 3, 1)))   # mostly where ELU bends
+    k = ad.Tensor(np.full((1, 1, 1, 1), 0.7))
+    target = rng.standard_normal((6, 3, 1))
+
+    def error(fused):
+        if fused:
+            loss_fn = lambda: ad.mse(nn.conv2d(x, k, activation="elu"), target)
+        else:
+            loss_fn = lambda: ad.mse(ad.elu(nn.conv2d(x, k)), target)
+        return nn.grad_check(loss_fn, [x, k])
+
+    assert error(fused=True) < 1e-6
+    real_node = nn._node
+
+    def output_reading_node(data, parents, bwd):
+        node = real_node(data, parents, None)
+        inp, kernel = parents
+
+        def rule(g):
+            ad.accumulate(inp, g * kernel.data.item())
+            ad.accumulate(kernel, np.sum(g * node.data / kernel.data.item()).reshape(1, 1, 1, 1))
+
+        node.bwd = rule
+        return node
+
+    monkeypatch.setattr(nn, "_node", output_reading_node)
+    assert error(fused=False) < 1e-6
+    assert error(fused=True) > 1e-2
+
+
 # --- GRU -----------------------------------------------------------------
 
 def test_gru_params_join_per_gate_draws():

@@ -88,22 +88,71 @@ def desk_example(rng):
         dry_scale=1.0, rir_scale=1.0, reverb_scale=1.0)
 
 
+def train_heap_peak(config, examples):
+    """tracemalloc's heap peak over `trainer.train(config, examples)`."""
+    tracemalloc.start()
+    try:
+        trainer.train(config, examples)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
 @pytest.mark.parametrize("kind", ["rir", "joint"])
 def test_training_holds_one_example_graph_at_a_time(kind):
     """Backward frees each example's graph before the next forward, so the
     heap peak of one batch of four is that of one example."""
     rng = np.random.default_rng(0)
     examples = [desk_example(rng) for _ in range(4)]
-    peaks = []
-    for n in (1, 4):
-        config = trainer.TrainConfig(model=kind, epochs=1, batch_size=4, seed=0)
-        tracemalloc.start()
-        try:
-            trainer.train(config, examples[:n])
-            peaks.append(tracemalloc.get_traced_memory()[1])
-        finally:
-            tracemalloc.stop()
+    config = trainer.TrainConfig(model=kind, epochs=1, batch_size=4, seed=0)
+    peaks = [train_heap_peak(config, examples[:n]) for n in (1, 4)]
     assert peaks[1] <= 1.05 * peaks[0], [f"{p / 1e6:.1f} MB" for p in peaks]
+
+
+@pytest.mark.parametrize("kind", ["rir", "joint", "dry-unet"])
+def test_training_holds_each_conv_activation_once(kind, monkeypatch):
+    """conv2d's activation overwrites the convolution's output, so a step
+    holds one buffer per conv layer. Applied out of place, the activation
+    keeps every pre-activation on the graph until backward, which must raise
+    the heap peak by at least half of those buffers' bytes."""
+    examples = [desk_example(np.random.default_rng(0))]
+    config = trainer.TrainConfig(model=kind, epochs=1, batch_size=1, seed=0)
+    once = train_heap_peak(config, examples)
+    conv2d, kept = nn.conv2d, []
+
+    def keeping(*args, activation=None, **kwargs):
+        out = conv2d(*args, **kwargs)
+        kept.append(out.data.nbytes)
+        return out if activation is None else getattr(ad, activation)(out)
+
+    monkeypatch.setattr(nn, "conv2d", keeping)
+    twice = train_heap_peak(config, examples)
+    assert twice - once >= 0.5 * sum(kept), \
+        [f"{b / 1e6:.1f} MB" for b in (once, twice, sum(kept))]
+
+
+TARGETS = ("dry_target_logmag", "rir_target_mag", "reverb_target_mag")
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_a_loaded_example_trains_and_scores_as_its_float64_widening(tmp_path, kind):
+    """Loaded targets are float32, as the cache stores them; training on them
+    and scoring them writes the bytes their float64 widening gives."""
+    corpus.save_example(desk_example(np.random.default_rng(3)), tmp_path / "ex.drvb")
+    loaded = corpus.load_example(tmp_path / "ex.drvb")
+    assert {getattr(loaded, name).dtype for name in TARGETS} == {np.dtype(np.float32)}
+    widened = dataclasses.replace(
+        loaded, **{name: getattr(loaded, name).astype(np.float64) for name in TARGETS})
+    written = []
+    for i, example in enumerate((loaded, widened)):
+        out = tmp_path / str(i)
+        out.mkdir()
+        config = trainer.TrainConfig(model=kind, epochs=1, batch_size=1, seed=0)
+        model, _, _ = trainer.train(config, [example], [example],
+                                    checkpoint_path=out / "m.ckpt", log_path=out / "m.csv")
+        evaluation.evaluate_model(model, [example], ["ex"]).to_csv(out / "report.csv")
+        written.append([(out / name).read_bytes() for name in ("m.ckpt", "m.csv", "report.csv")])
+    assert written[0] == written[1]
 
 
 def record_dtypes(monkeypatch):
