@@ -301,6 +301,14 @@ def cmd_info(args) -> int:
             if i == config.get("trunk_depth"):
                 print(f"  (trunk ends: the dry head reads {name})")
             frames, c_in = frames - kt + 1, c_out
+    # each Bi-GRU layer, and how its scan steps at the float32 of train and eval
+    params = dict(model.params())
+    for name in params:
+        if name.endswith(".fwd.u"):
+            layer = name[:-len(".fwd.u")]
+            widths = params[name].data.shape[0], params[layer + ".bwd.u"].data.shape[0]
+            steps = "both directions" if nn.bigru_stacks(*widths, np.float32) else "one direction"
+            print(f"  {layer}: {widths[0]} + {widths[1]} hidden, {steps} per loop")
     total = 0
     for name, p in model.params():
         print(f"  {name}: {tuple(p.data.shape)}")

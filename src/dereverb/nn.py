@@ -14,6 +14,15 @@ when an operation count says it is cheaper. Both give the same numbers up
 to rounding. :func:`conv2d_transposed` always takes the column core.
 :func:`conv2d` can apply an ELU or ReLU to its result in place
 (`activation=`): the same bits as the separate op, in one buffer, not two.
+Both add the bias into a column-core result in place, unless the sum takes
+a wider dtype; a spectral result, a slice of a padded inverse FFT, takes it
+as a copy that lets the padding go.
+
+:func:`bigru_layer` runs the GRU equations (stated at :func:`gru_cell`, its
+one-frame case) through one scan over a stack of directions. It steps both
+directions in one loop where :func:`bigru_stacks` says their recurrent
+weights fit in cache together (the tiny and desk models), and one direction
+per loop otherwise (the paper model); the two groupings give the same bits.
 
 Only the spectral path needs `scipy.fft`, and it imports it when it first
 runs: the import costs about 0.3 s and 27 MB in a fresh process, which
@@ -194,6 +203,17 @@ def _spectral_grads(x, g, kernel, need_x):
 _ACTIVATIONS = {None: None, "elu": _elu_into, "relu": _relu_into}
 
 
+def _add_bias(out, bias):
+    """out + bias, written into `out` when it is a convolution's own fresh
+    array. The spectral path's result is a slice of its padded inverse FFT,
+    and the sum's copy lets the rest of that go; a sum of a wider dtype than
+    `out` is a copy too."""
+    if out.base is not None or np.result_type(out, bias) != out.dtype:
+        return out + bias
+    out += bias
+    return out
+
+
 def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid", activation=None) -> Tensor:
     """2-D convolution: [T,F,Cin] with kernel [kT,kF,Cin,Cout] -> [T',F',Cout].
 
@@ -236,7 +256,7 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid", activation=None
         out = _correlate(xd, kernel.data, stride)
     if bias is not None:
         bias = as_tensor(bias)
-        out = out + bias.data
+        out = _add_bias(out, bias.data)
 
     def bwd(g):
         if spectral:
@@ -276,7 +296,7 @@ def conv2d_transposed(x, kernel, bias=None, stride=(1, 1)) -> Tensor:
     out = _correlate_adjoint(x.data, kernel.data, stride, shape)
     if bias is not None:
         bias = as_tensor(bias)
-        out = out + bias.data
+        out = _add_bias(out, bias.data)
 
     def bwd(g):
         accumulate(x, _correlate(g, kernel.data, stride))
@@ -318,72 +338,177 @@ class GruParams:
         return [self.w, self.u, self.b]
 
 
-def _sigmoid(a):
-    return 1.0 / (1.0 + np.exp(-a))
+def _sigmoid_into(a):
+    """a = 1 / (1 + exp(-a)), in place."""
+    np.negative(a, out=a)
+    np.exp(a, out=a)
+    a += 1.0
+    np.divide(1.0, a, out=a)
 
 
-def _gru_scan(x, h0, p: GruParams, reverse):
-    """Run one GRU direction over x [T, Din] from state h0 [Dh].
+# The scan steps a stack of D = 1 or 2 GRU directions of one width in one
+# loop. A Bi-GRU layer's directions are independent recurrences over the
+# same input, so a step takes both directions' h @ u_zr as one stacked
+# np.matmul of [D, 1, H] states with [D, H, 2H] matrices, and both
+# (r*h) @ u_h as another. numpy runs each member of a stack through the gemv
+# a lone direction gets, on a matrix of the same layout, so values and
+# gradients keep their bits and only the Python steps halve. That pays while
+# both recurrent matrices stay in cache. Forward plus backward of one layer
+# (float32, T = 292, Din = 2H), stacked against one direction at a time, in
+# two sweeps: 0.62-0.63, 0.72-0.81, 0.81-1.00 and 0.94-0.97 times at H = 64,
+# 128, 192 and 256 (both matrices up to 1.5 MiB), but 1.27-1.34 and
+# 1.37-1.47 times at H = 320 and 380, past a 2 MiB per-core L2.
+# bigru_stacks stacks a layer's directions when they share a width and their
+# matrices fit in _GRU_STACK_BYTES together: every bound from 192 KiB to
+# 1.5 MiB stacks the tiny and desk models (H <= 64) and runs the paper model
+# (H = 380) one direction at a time, in float32 and float64.
+#
+# The tape is step-major ([T, 3, D, 1, H] for the gates) so that each step
+# works on contiguous blocks: numpy's elementwise loops cost two to four
+# times as much on strided ones. Step s of a direction reads frame s, or
+# frame T-1-s in reverse. The pre-activations x @ w + b become the tape, each
+# step overwriting its row with z, r and c, and the backward turns those into
+# the gate gradients in place; a direction's rows are copied to time order
+# only for the whole-sequence GEMMs of its weight gradients. Stacked, a layer
+# holds no more than one direction at a time does.
 
-    Returns the states [T, Dh] (row t is the state after frame t) and the
-    tape :func:`_gru_scan_backward` needs. The input projections of all
-    frames are one GEMM with the fused `w`; each step adds only h times the
-    z and r columns of `u`, and (r*h) times its h columns. The scan computes
-    in the dtype of x and the weights.
+_GRU_STACK_BYTES = 1024 * 1024
+
+
+def bigru_stacks(fwd_hidden, bwd_hidden, dtype) -> bool:
+    """Whether :func:`bigru_layer` steps both directions in one loop: they
+    share a width H, and their two [H, 3H] recurrent matrices of `dtype`
+    fit in _GRU_STACK_BYTES together."""
+    return (fwd_hidden == bwd_hidden
+            and 2 * 3 * fwd_hidden ** 2 * np.dtype(dtype).itemsize <= _GRU_STACK_BYTES)
+
+
+def _in_time_order(a, d, reverse):
+    """Direction d's rows of a step-major array [T, ..., D, 1, Dh], in time
+    order and contiguous."""
+    a = a[..., d, 0, :]
+    return np.ascontiguousarray(a[::-1] if reverse else a)
+
+
+def _gru_scan(x, h0, directions):
+    """Run a stack of D GRU directions of one width Dh over x [T, Din].
+
+    `directions` holds each direction's (GruParams, reverse) and h0 [D, Dh]
+    their initial states. Returns the tape :func:`_gru_scan_backward` needs;
+    :func:`_gru_states` reads the states from it. The input projections of
+    all frames are one GEMM per direction with the fused `w`; each step adds
+    only h times the z and r columns of `u`, and (r*h) times its h columns.
+    The scan computes in the dtype of x and the weights.
     """
-    steps, n = len(x), p.d_hidden
-    u_zr, u_h = p.u.data[:, :2 * n], p.u.data[:, 2 * n:]
-    a = x @ p.w.data + p.b.data
-    z, r, c, h_prev, out = (np.empty((steps, n), a.dtype) for _ in range(5))
-    h = h0
+    steps, n, dirs = len(x), directions[0][0].d_hidden, len(directions)
+    gates = None   # [T, 3, D, 1, Dh]: x @ w + b, overwritten with z, r and c
+    for d, (p, reverse) in enumerate(directions):
+        xw = (x @ p.w.data).reshape(steps, 3, n)
+        if gates is None:
+            gates = np.empty((steps, 3, dirs, 1, n), np.result_type(xw, p.b.data))
+        np.add(xw[::-1] if reverse else xw, p.b.data.reshape(3, n), out=gates[:, :, d, 0])
+        del xw
+    states = np.empty((steps + 1, dirs, 1, n), gates.dtype)   # row s: before step s
+    states[0, :, 0] = h0
+    u = np.stack([p.u.data for p, _ in directions])
+    u_zr, u_h = u[:, :, :2 * n], u[:, :, 2 * n:]
+    hu = np.empty((dirs, 1, 2 * n), gates.dtype)   # h @ u_zr, and its z and r blocks
+    hu_zr = hu.reshape(dirs, 1, 2, n).transpose(2, 0, 1, 3)
     # In float32 exp(-a) overflows to inf for a < -88.7 and underflows for
     # a > 87.3; 1 / (1 + inf) = 0 and 1 / (1 + tiny) = 1 are then the sigmoid
     # to the last bit, so neither is an error.
     with np.errstate(over="ignore", under="ignore"):
-        for t in (reversed(range(steps)) if reverse else range(steps)):
-            h_prev[t] = h
-            zr = _sigmoid(a[t, :2 * n] + h @ u_zr)
-            z[t], r[t] = zr[:n], zr[n:]
-            c[t] = np.tanh(a[t, 2 * n:] + (r[t] * h) @ u_h)
-            h = out[t] = (1.0 - z[t]) * h + z[t] * c[t]
-    return out, (x, z, r, c, h_prev)
+        for zrc, h, h_next in zip(gates, states, states[1:]):
+            zr, (z, r, c) = zrc[:2], zrc
+            np.matmul(h, u_zr, out=hu)
+            zr += hu_zr
+            _sigmoid_into(zr)
+            c += np.matmul(r * h, u_h)
+            np.tanh(c, out=c)
+            np.add((1.0 - z) * h, z * c, out=h_next)
+    return x, directions, gates, states
 
 
-def _gru_scan_backward(g, p: GruParams, tape, reverse):
-    """Backward of :func:`_gru_scan` for output gradient g [T, Dh].
+def _gru_states(tape):
+    """Each direction's states [T, Dh] in time order: row t is the state
+    after frame t."""
+    _, directions, _, states = tape
+    return [states[:0:-1, d, 0] if reverse else states[1:, d, 0]
+            for d, (_, reverse) in enumerate(directions)]
 
-    Walks the steps in the opposite order into the pre-activation gradient
-    [T, 3Dh], then forms the gradients of `w`, `u` and `b` as whole-sequence
-    GEMMs and accumulates them into `p`. Returns the input gradient [T, Din]
-    and the gradient of the initial state h0.
+
+def _gru_scan_backward(g, tape, gx=None):
+    """Backward of :func:`_gru_scan` for output gradient g [T, D*Dh], the
+    directions' states side by side in time order.
+
+    Walks the steps in the opposite order into the pre-activation gradients,
+    then forms the gradients of `w`, `u` and `b` as whole-sequence GEMMs
+    over each direction's [T, 3Dh] block and accumulates them into its
+    parameters. Returns the input gradient [T, Din], summed over the
+    directions (into `gx` when given), and the gradients [D, Dh] of the
+    initial states. Overwrites the tape, which a graph node's rule reads
+    only once.
     """
-    x, z, r, c, h_prev = tape
-    n = p.d_hidden
+    x, directions, gates, states = tape
+    n, dirs = directions[0][0].d_hidden, len(directions)
+    z, r, c = gates[:, 0], gates[:, 1], gates[:, 2]
+    h_prev = states[:-1]
+    one_minus_z, r_kept = 1.0 - z, r.copy()
+    k_z = c - h_prev
+    k_z *= z
+    k_z *= one_minus_z                     # d h'/d a_z = (c - h) * z * (1 - z)
+    c *= c
+    np.subtract(1.0, c, out=c)
+    c *= z                                 # d h'/d a_c = z * (1 - c*c)
+    z[...] = k_z
+    del k_z
+    r *= h_prev
+    r *= 1.0 - r_kept                      # d (r*h)/d a_r = h * r * (1 - r)
+    gs = np.empty(states[1:].shape, g.dtype)   # [T, D, 1, Dh] in step order
+    for d, (_, reverse) in enumerate(directions):
+        gd = g[:, d * n:(d + 1) * n]
+        gs[:, d, 0] = gd[::-1] if reverse else gd
     # Contiguous copies, not views: OpenBLAS's float32 transposed gemv sums
     # in another order over a column block of a wider matrix (seen for
     # Dh <= 8), and the gate blocks must give a standalone matrix's products.
-    u_zr = np.ascontiguousarray(p.u.data[:, :2 * n])
-    u_h = np.ascontiguousarray(p.u.data[:, 2 * n:])
-    k_z = (c - h_prev) * z * (1.0 - z)   # d h'/d a_z
-    k_r = h_prev * r * (1.0 - r)         # d (r*h)/d a_r
-    k_c = z * (1.0 - c * c)              # d h'/d a_c
-    da = np.empty((len(x), 3 * n), z.dtype)
-    dh = np.zeros(n, z.dtype)
-    for t in (range(len(x)) if reverse else reversed(range(len(x)))):
-        gt = g[t] + dh
-        da[t, 2 * n:] = gt * k_c[t]
-        grh = da[t, 2 * n:] @ u_h.T
-        da[t, :n] = gt * k_z[t]
-        da[t, n:2 * n] = grh * k_r[t]
-        dh = gt * (1.0 - z[t]) + grh * r[t] + da[t, :2 * n] @ u_zr.T
-    accumulate(p.w, x.T @ da)
-    accumulate(p.u, np.hstack([h_prev.T @ da[:, :2 * n], (r * h_prev).T @ da[:, 2 * n:]]))
-    accumulate(p.b, da.sum(axis=0))
-    return da @ p.w.data.T, dh
+    u_zr_t = np.stack([p.u.data[:, :2 * n] for p, _ in directions]).transpose(0, 2, 1)
+    u_h_t = np.stack([p.u.data[:, 2 * n:] for p, _ in directions]).transpose(0, 2, 1)
+    da_zr = np.empty((dirs, 1, 2 * n), gates.dtype)   # each direction's z and r gradients
+    da_zr_by_gate = da_zr.reshape(dirs, 1, 2, n).transpose(2, 0, 1, 3)
+    dh = np.zeros((dirs, 1, n), gates.dtype)
+    for s in reversed(range(len(x))):
+        gt = gs[s] + dh
+        da = gates[s]   # d h'/d a on entry, the step's gradient on exit
+        da[2] *= gt
+        grh = np.matmul(da[2], u_h_t)
+        da[0] *= gt
+        da[1] *= grh
+        np.copyto(da_zr_by_gate, da[:2])
+        dh = gt * one_minus_z[s]
+        dh += grh * r_kept[s]
+        dh += np.matmul(da_zr, u_zr_t)
+    del gs, one_minus_z, u_zr_t, u_h_t
+    r_kept *= h_prev                       # r * h, as the u gradient reads it
+    rh_rows = [_in_time_order(r_kept, d, reverse) for d, (_, reverse) in enumerate(directions)]
+    del r_kept
+    for d, (p, reverse) in enumerate(directions):
+        da = _in_time_order(gates, d, reverse).reshape(len(x), 3 * n)
+        h, rh = _in_time_order(h_prev, d, reverse), rh_rows.pop(0)
+        accumulate(p.w, x.T @ da)
+        accumulate(p.u, np.hstack([h.T @ da[:, :2 * n], rh.T @ da[:, 2 * n:]]))
+        accumulate(p.b, da.sum(axis=0))
+        gx_d = da @ p.w.data.T
+        del da, h, rh   # one direction's copies at a time
+        if gx is None:
+            gx = gx_d
+        else:
+            gx += gx_d
+    return gx, dh[:, 0]
 
 
 def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
-    """One GRU step: the one-frame case of the scan behind :func:`bigru_layer`.
+    """One GRU step: the one-direction, one-frame case of the scan behind
+    :func:`bigru_layer`.
 
         z = sigmoid(x Wz + h Uz + bz)
         r = sigmoid(x Wr + h Ur + br)
@@ -399,23 +524,26 @@ def gru_cell(x_t, h_prev, params: GruParams) -> Tensor:
         raise ShapeMismatch(
             f"gru_cell got x {x_t.data.shape}, h {h_prev.data.shape}, "
             f"wants ({p.d_in},), ({p.d_hidden},)")
-    out, tape = _gru_scan(x_t.data[None], h_prev.data, p, reverse=False)
+    tape = _gru_scan(x_t.data[None], h_prev.data[None], [(p, False)])
+    out = _gru_states(tape)[0][0].copy()
 
     def bwd(g):
-        gx, gh = _gru_scan_backward(g[None], p, tape, reverse=False)
+        gx, gh = _gru_scan_backward(g[None], tape)
         accumulate(x_t, gx[0])
-        accumulate(h_prev, gh)
+        accumulate(h_prev, gh[0])
 
-    return _node(out[0], (x_t, h_prev, *p.tensors()), bwd)
+    return _node(out, (x_t, h_prev, *p.tensors()), bwd)
 
 
 def bigru_layer(seq, fwd_params: GruParams, bwd_params: GruParams) -> Tensor:
     """Bidirectional GRU over [T, Din] -> [T, Dh_fwd + Dh_bwd], one graph node.
 
-    Each direction is one :func:`_gru_scan` from a zero state, the forward
-    one left to right and the backward one right to left; row t holds both
-    directions' states after frame t, forward first. T must be at least 1
-    and both directions must take Din features.
+    Each direction scans from a zero state, the forward one left to right and
+    the backward one right to left; row t holds both directions' states after
+    frame t, forward first. Where :func:`bigru_stacks` allows, one
+    :func:`_gru_scan` steps both directions; otherwise each runs the same
+    scan alone, to the same bits. T must be at least 1 and both directions
+    must take Din features.
     """
     seq = as_tensor(seq)
     if fwd_params.d_in != bwd_params.d_in:
@@ -424,19 +552,25 @@ def bigru_layer(seq, fwd_params: GruParams, bwd_params: GruParams) -> Tensor:
     x = seq.data
     if x.ndim != 2 or x.shape[0] < 1 or x.shape[1] != fwd_params.d_in:
         raise ShapeMismatch(f"bigru_layer got {x.shape}, wants [T >= 1, {fwd_params.d_in}]")
-    fwd_out, fwd_tape = _gru_scan(x, np.zeros(fwd_params.d_hidden, x.dtype), fwd_params,
-                                  reverse=False)
-    bwd_out, bwd_tape = _gru_scan(x, np.zeros(bwd_params.d_hidden, x.dtype), bwd_params,
-                                  reverse=True)
+    directions = [(fwd_params, False), (bwd_params, True)]
+    dtype = np.result_type(fwd_params.u.data, bwd_params.u.data)
+    if bigru_stacks(fwd_params.d_hidden, bwd_params.d_hidden, dtype):
+        groups = [directions]
+    else:
+        groups = [directions[:1], directions[1:]]
+    tapes = [_gru_scan(x, np.zeros((len(g), g[0][0].d_hidden), x.dtype), g) for g in groups]
+    out = np.concatenate([st for tape in tapes for st in _gru_states(tape)], axis=1)
 
     def bwd(g):
-        n = fwd_params.d_hidden
-        gx_fwd, _ = _gru_scan_backward(g[:, :n], fwd_params, fwd_tape, reverse=False)
-        gx_bwd, _ = _gru_scan_backward(g[:, n:], bwd_params, bwd_tape, reverse=True)
-        accumulate(seq, gx_fwd + gx_bwd)
+        gx, col = None, 0
+        for tape in tapes:
+            width = sum(p.d_hidden for p, _ in tape[1])
+            gx, _ = _gru_scan_backward(g[:, col:col + width], tape, gx)
+            col += width
+        accumulate(seq, gx)
 
     parents = (seq, *fwd_params.tensors(), *bwd_params.tensors())
-    return _node(np.concatenate([fwd_out, bwd_out], axis=1), parents, bwd)
+    return _node(out, parents, bwd)
 
 
 # ---------------------------------------------------------------------------

@@ -657,6 +657,25 @@ def test_info_fresh_model_of_each_kind(kind, capsys):
     assert listed == INFO_CONV_LAYERS.get(kind, [])
 
 
+# how `info` says each Bi-GRU layer steps: both directions in one loop where
+# their recurrent weights fit in cache together, else one direction per loop
+@pytest.mark.parametrize("kind, scale, prefix, layer", [
+    ("joint", "desk", "dry.", "64 + 64 hidden, both directions per loop"),
+    ("dry-gru", "desk", "", "64 + 64 hidden, both directions per loop"),
+    ("joint", "paper", "dry.", "380 + 380 hidden, one direction per loop"),
+    ("dry-gru", "paper", "", "380 + 380 hidden, one direction per loop"),
+])
+def test_info_prints_how_each_bigru_layer_steps(kind, scale, prefix, layer, capsys):
+    assert run(["info", "--model", kind, "--scale", scale]) == 0
+    listed = [line for line in capsys.readouterr().out.splitlines() if line.endswith(" per loop")]
+    assert listed == [f"  {prefix}gru{i}: {layer}" for i in range(3)]
+
+
+def test_info_prints_no_bigru_layer_for_a_conv_model(capsys):
+    assert run(["info", "--model", "rir"]) == 0
+    assert " per loop" not in capsys.readouterr().out
+
+
 def test_info_malformed_checkpoint_config_exits_2(tmp_path, capsys):
     model = models.build_tiny_model("joint", np.random.default_rng(0))
     ckpt = trainer.checkpoint_from_model(model, 1)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -148,6 +150,39 @@ def test_conv2d_transposed_gradients(stride, with_bias):
     loss_fn = lambda: ad.mse(nn.conv2d_transposed(x, k, bias, stride=stride), target)
     params = [x, k, b] if with_bias else [x, k]
     assert nn.grad_check(loss_fn, params) < 1e-5
+
+
+@pytest.mark.parametrize("op", [nn.conv2d, nn.conv2d_transposed],
+                         ids=["conv2d", "conv2d_transposed"])
+def test_conv_bias_gives_the_bits_of_adding_it_after(op):
+    # the bias goes into the fresh output in place, except where the sum is
+    # wider than the output: a float32 convolution with a float64 bias
+    rng = np.random.default_rng(20)
+    with ad.precision(np.float32):
+        x = ad.Tensor(rng.standard_normal((9, 5, 2)))
+        k = ad.Tensor(rng.standard_normal((3, 2, 2, 2)))
+        b32 = ad.Tensor(rng.standard_normal(2))
+        plain = op(x, k).data
+        np.testing.assert_array_equal(op(x, k, b32).data, plain + b32.data)
+    b64 = ad.Tensor(rng.standard_normal(2))
+    wide = op(x, k, b64).data
+    assert wide.dtype == np.float64
+    np.testing.assert_array_equal(wide, plain + b64.data)
+
+
+def test_spectral_conv_bias_lets_the_padded_transform_go(monkeypatch):
+    # the spectral result is a slice of a longer inverse FFT; the bias sum is
+    # a copy of the slice alone, so the layer's output holds only its own bytes
+    force_spectral(monkeypatch)
+    rng = np.random.default_rng(21)
+    with ad.precision(np.float32):
+        x = ad.Tensor(rng.standard_normal((12, 5, 3)))
+        k = ad.Tensor(rng.standard_normal((4, 1, 3, 2)))
+        b = ad.Tensor(rng.standard_normal(2))
+        plain, out = nn.conv2d(x, k).data, nn.conv2d(x, k, b).data
+    assert plain.base is not None and plain.base.nbytes > plain.nbytes
+    assert out.base is None
+    np.testing.assert_array_equal(out, plain + b.data)
 
 
 def test_conv2d_transposed_is_exactly_the_conv2d_input_gradient():
@@ -566,8 +601,36 @@ def test_bigru_layer_rejects_bad_input(shape, d_bwd):
         nn.bigru_layer(np.zeros(shape), fwd, bwd)
 
 
-def test_float32_gru_saturates_without_floating_point_errors():
+def step_directions(monkeypatch, stacked):
+    """Make bigru_layer step a layer's directions together whenever they
+    share a width (`stacked`), or never, whatever their size."""
+    monkeypatch.setattr(nn, "_GRU_STACK_BYTES", 2 ** 62 if stacked else 0)
+
+
+def scan_sizes(monkeypatch):
+    """The number of directions each nn._gru_scan call steps, in call order."""
+    sizes, scan = [], nn._gru_scan
+
+    def counted(x, h0, directions):
+        sizes.append(len(directions))
+        return scan(x, h0, directions)
+
+    monkeypatch.setattr(nn, "_gru_scan", counted)
+    return sizes
+
+
+def test_float32_gru_saturates_without_floating_point_errors(monkeypatch):
+    check_float32_gru_saturates(monkeypatch, stacked=True)
+
+
+def test_float32_gru_saturates_one_direction_per_loop(monkeypatch):
+    check_float32_gru_saturates(monkeypatch, stacked=False)
+
+
+def check_float32_gru_saturates(monkeypatch, stacked):
     # pre-activations of +-200: exp(200) overflows float32, the sigmoid is exact
+    step_directions(monkeypatch, stacked)
+    sizes = scan_sizes(monkeypatch)
     with ad.precision(np.float32):
         fwd, bwd = zero_gru(2, 3), zero_gru(2, 3)
         for p in (fwd, bwd):
@@ -579,6 +642,7 @@ def test_float32_gru_saturates_without_floating_point_errors():
             out = nn.bigru_layer(seq, fwd, bwd)
             ad.backward(total(out))
             cell = nn.gru_cell(x[0], np.zeros(3), fwd)
+    assert sizes == ([2] if stacked else [1, 1]) + [1]   # the layer's scans, then the cell's
     assert out.data.dtype == cell.data.dtype == np.float32
     assert np.all(np.isfinite(out.data)) and np.all(np.isfinite(cell.data))
     assert np.all(np.isfinite(seq.grad))
@@ -673,8 +737,18 @@ BIGRU_CASES = {
 
 
 @pytest.mark.parametrize("case", BIGRU_CASES.values(), ids=BIGRU_CASES.keys())
-def test_fused_bigru_matches_per_frame_oracle(case):
+def test_fused_bigru_matches_per_frame_oracle(case, monkeypatch):
+    check_bigru_against_oracle(case, monkeypatch, stacked=True)
+
+
+@pytest.mark.parametrize("case", BIGRU_CASES.values(), ids=BIGRU_CASES.keys())
+def test_bigru_one_direction_per_loop_matches_per_frame_oracle(case, monkeypatch):
+    check_bigru_against_oracle(case, monkeypatch, stacked=False)
+
+
+def check_bigru_against_oracle(case, monkeypatch, stacked):
     steps, d_in, hidden, biased, shared = case
+    step_directions(monkeypatch, stacked)
     rng = np.random.default_rng(14)
     fwd = nn.GruParams(d_in, hidden, rng)
     bwd = fwd if shared else nn.GruParams(d_in, hidden, rng)
@@ -683,11 +757,88 @@ def test_fused_bigru_matches_per_frame_oracle(case):
     seq = ad.Tensor(rng.standard_normal((steps, d_in)))
     g = rng.standard_normal((steps, 2 * hidden))
     leaves = [seq, *fwd.tensors(), *bwd.tensors()]
+    sizes = scan_sizes(monkeypatch)
     got = value_and_grads(lambda: nn.bigru_layer(seq, fwd, bwd), leaves, g)
+    assert sizes == ([2] if stacked else [1, 1])
     want = value_and_grads(lambda: bigru_by_frames(seq, fwd, bwd), leaves, g)
     assert len(got) == 8   # output, input gradient, 6 parameter gradients
     for a, b in zip(got, want):
         assert_close(a, b)
+
+
+def desk_bigru_layer(rng):
+    """The input, both directions and an output gradient of one desk Bi-GRU
+    layer, in the engine's precision: T = 292 frames of D = 128 features,
+    H = 64 per direction."""
+    fwd, bwd = nn.GruParams(128, 64, rng), nn.GruParams(128, 64, rng)
+    randomize_biases([fwd, bwd], rng)
+    seq, g = ad.Tensor(rng.standard_normal((292, 128))), rng.standard_normal((292, 128))
+    return seq, fwd, bwd, g.astype(seq.data.dtype)
+
+
+def test_bigru_groupings_agree_bit_for_bit_at_desk_shape(monkeypatch):
+    """Stacked or one direction per loop, every product goes to the same
+    gemv, so the output, the input gradient and all six parameter gradients
+    are equal, not just close."""
+    sizes = scan_sizes(monkeypatch)
+    runs = []
+    with ad.precision(np.float32):
+        seq, fwd, bwd, g = desk_bigru_layer(np.random.default_rng(17))
+        leaves = [seq, *fwd.tensors(), *bwd.tensors()]
+        for stacked in (True, False):
+            step_directions(monkeypatch, stacked)
+            runs.append(value_and_grads(lambda: nn.bigru_layer(seq, fwd, bwd), leaves, g))
+    assert sizes == [2, 1, 1]
+    assert len(runs[0]) == 8   # output, input gradient, 6 parameter gradients
+    for a, b in zip(*runs):
+        assert a.dtype == b.dtype == np.float32
+        np.testing.assert_array_equal(a, b)
+
+
+def test_bigru_directions_of_unequal_width_step_one_at_a_time(monkeypatch):
+    step_directions(monkeypatch, stacked=True)
+    assert not nn.bigru_stacks(3, 5, np.float64)
+    rng = np.random.default_rng(18)
+    fwd, bwd = nn.GruParams(4, 3, rng), nn.GruParams(4, 5, rng)
+    randomize_biases([fwd, bwd], rng)
+    seq = ad.Tensor(rng.standard_normal((7, 4)))
+    g = rng.standard_normal((7, 8))
+    leaves = [seq, *fwd.tensors(), *bwd.tensors()]
+    sizes = scan_sizes(monkeypatch)
+    got = value_and_grads(lambda: nn.bigru_layer(seq, fwd, bwd), leaves, g)
+    assert sizes == [1, 1]
+    want = value_and_grads(lambda: bigru_by_frames(seq, fwd, bwd), leaves, g)
+    for a, b in zip(got, want):
+        assert_close(a, b)
+
+
+def test_bigru_stacks_the_tiny_and_desk_layers_but_not_the_paper_ones():
+    for dtype in (np.float32, np.float64):
+        assert nn.bigru_stacks(3, 3, dtype) and nn.bigru_stacks(64, 64, dtype)
+        assert not nn.bigru_stacks(380, 380, dtype)
+
+
+def bigru_heap_peak(seq, fwd, bwd, g):
+    """tracemalloc's heap peak over one bigru_layer forward and backward."""
+    tracemalloc.start()
+    try:
+        ad.backward(total(ad.mul(nn.bigru_layer(seq, fwd, bwd), g)))
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_stacking_a_desk_bigru_layer_holds_no_more_than_one_direction_per_loop(monkeypatch):
+    """The stacked scan keeps one tape for both directions and turns it into
+    the gradients in place, so it peaks where two single scans do."""
+    peaks = []
+    with ad.precision(np.float32):
+        seq, fwd, bwd, g = desk_bigru_layer(np.random.default_rng(19))
+        for stacked in (True, False):
+            step_directions(monkeypatch, stacked)
+            bigru_heap_peak(seq, fwd, bwd, g)   # warm-up
+            peaks.append(bigru_heap_peak(seq, fwd, bwd, g))
+    assert peaks[0] <= 1.05 * peaks[1], [f"{p / 1e6:.2f} MB" for p in peaks]
 
 
 def test_fused_gru_cell_matches_per_step_oracle():
