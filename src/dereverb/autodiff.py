@@ -100,8 +100,10 @@ def accumulate(t: Tensor, g: np.ndarray):
     if not t.needs_grad:
         return
     if t.grad is None:
-        t.grad = np.zeros_like(t.data)
-    t.grad += g
+        # one pass, the bits of zeros then += (g + 0 turns -0 into 0 and casts as += does)
+        t.grad = np.add(g, t.data.dtype.type(0), out=np.empty_like(t.data), casting="same_kind")
+    else:
+        t.grad += g
 
 
 def _node(data, parents, bwd) -> Tensor:

@@ -98,10 +98,12 @@ class TrainingExample:
 
     A loaded example (`load_example`) keeps its three targets as float32, as
     the cache stores them: losses and metrics widen them exactly, so a
-    float64 copy would only take memory. `input_logmag` stays float64. It
-    and every `exp` of the dry target are taken in float64, since numpy's
-    float32 `log` and `exp` round differently. A synthesised example is
-    float64 throughout.
+    float64 copy would only take memory. Its `input_logmag` is the float32
+    cast of the float64 log of the widened target: those are the bits a
+    float32 forward reads, which casts its input anyway. The log and every
+    `exp` of the dry target are taken in float64, since numpy's float32
+    `log` and `exp` round differently. A synthesised example is float64
+    throughout.
     """
 
     input_logmag: np.ndarray
@@ -449,7 +451,7 @@ def load_example(path) -> TrainingExample:
     dry_log, rir_mag, reverb_mag = arrays
     try:
         return TrainingExample(
-            input_logmag=dsp.log_magnitude(reverb_mag.astype(np.float64)),
+            input_logmag=dsp.log_magnitude(reverb_mag.astype(np.float64)).astype(np.float32),
             dry_target_logmag=dry_log,
             rir_target_mag=rir_mag,
             reverb_target_mag=reverb_mag,

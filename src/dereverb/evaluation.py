@@ -26,7 +26,8 @@ def log_spectral_distance(est_logmag: np.ndarray, ref_logmag: np.ndarray) -> flo
     """Frame-averaged RMS difference of natural-log spectra, in dB."""
     if est_logmag.shape != ref_logmag.shape:
         raise ShapeMismatch(f"{est_logmag.shape} vs {ref_logmag.shape}")
-    per_frame = np.sqrt(np.mean((_LN_TO_DB * (est_logmag - ref_logmag)) ** 2, axis=1))
+    diff = np.subtract(est_logmag, ref_logmag, dtype=np.float64)   # of float32 inputs too
+    per_frame = np.sqrt(np.mean((_LN_TO_DB * diff) ** 2, axis=1))
     return float(per_frame.mean())
 
 

@@ -191,6 +191,10 @@ class UnetEstimator:
     encoder level, mirrored back with transposed convolutions, and cropped to
     the original extents. The last decoder layer is linear so negative
     log-magnitudes are reachable.
+
+    Each activation is held once: an encoder ELU overwrites its
+    convolution's output (`nn.conv2d(activation=)`), and a decoder ELU its
+    slice of the transposed convolution's output, which neither rule reads.
     """
 
     kind = "dry-unet"
@@ -249,7 +253,7 @@ class UnetEstimator:
             f_up = f_in * self.config.stride
             h = ad.slice2d(h, trim, trim + t_up, trim, trim + f_up)
             if i > 0:
-                h = ad.elu(h)   # of a slice view, so out of place
+                h = ad._elu_into(h, h.data)   # over the slice: no rule reads it
                 h = ad.concat([h, skips[i - 1]], axis=2)
         h = ad.reshape(h, h.data.shape[:2])
         return {"dry": ad.slice2d(h, 0, t, 0, f)}
@@ -329,7 +333,9 @@ def reconstruct_reverb(rir_mag_est, dry_mag) -> Tensor:
             or rir_mag_est.data.shape[1] != dry_mag.data.shape[1]:
         raise ShapeMismatch(
             f"rir {rir_mag_est.data.shape} vs dry {dry_mag.data.shape}")
-    rir = rir_mag_est.data
+    # widened once, not per product: numpy's einsum over mixed dtypes gives
+    # the same bits, but slower
+    rir = rir_mag_est.data.astype(np.result_type(rir_mag_est.data, dry_mag.data), copy=False)
     out = _frame_convolve(rir, dry_mag.data)
 
     def bwd(g):

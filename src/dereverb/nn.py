@@ -16,7 +16,10 @@ to rounding. :func:`conv2d_transposed` always takes the column core.
 (`activation=`): the same bits as the separate op, in one buffer, not two.
 Both add the bias into a column-core result in place, unless the sum takes
 a wider dtype; a spectral result, a slice of a padded inverse FFT, takes it
-as a copy that lets the padding go.
+as a copy that lets the padding go. A "same"-padded :func:`conv2d` keeps
+only its unpadded input, which the op before it holds anyway, and pads it
+again in its rule (recomputing what is cheap rather than storing it; Chen
+et al., arXiv:1604.06174).
 
 :func:`bigru_layer` runs the GRU equations (stated at :func:`gru_cell`, its
 one-frame case) through one scan over a stack of directions. It steps both
@@ -191,12 +194,18 @@ def _spectral_grads(x, g, kernel, need_x):
     n = _fast_len(len(x))
     k_hat = sfft.rfft(kernel[:, 0], n, axis=0)
     g_hat = sfft.rfft(g, n, axis=0)
+    # conj(conj(x_hat) @ g_hat) is x_hat @ conj(g_hat) to the bit; this way
+    # the conjugations touch the fresh x_hat in place and the small
+    # [bins, Cin, Cout] product, not a copy of g_hat
     x_hat = sfft.rfft(x, n, axis=0).transpose(0, 2, 1)
-    gk = sfft.irfft(x_hat @ g_hat.conj(), n, axis=0)[:len(kernel)]
+    np.conjugate(x_hat, out=x_hat)
+    gk = sfft.irfft((x_hat @ g_hat).conj(), n, axis=0)[:len(kernel)]
     del x_hat   # freed before the input gradient's buffers: it set the step's peak
     gx = None
     if need_x:
-        gx = sfft.irfft(g_hat @ k_hat.transpose(0, 2, 1), n, axis=0)[:len(x)]
+        gx_hat = g_hat @ k_hat.transpose(0, 2, 1)
+        del g_hat
+        gx = sfft.irfft(gx_hat, n, axis=0)[:len(x)]
     return gk.reshape(kernel.shape), gx
 
 
@@ -218,7 +227,9 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid", activation=None
     """2-D convolution: [T,F,Cin] with kernel [kT,kF,Cin,Cout] -> [T',F',Cout].
 
     "valid" gives T' = (T-kT)/sT + 1; "same" gives T' = ceil(T/sT) via
-    symmetric zero padding. Bias, when given, is one value per output channel.
+    symmetric zero padding. The rule pads the input again rather than keep
+    a padded copy until backward: the op that made the input holds it
+    anyway. Bias, when given, is one value per output channel.
 
     `activation` "elu" or "relu" returns that activation of the result, in
     value and gradients the bits of `ad.elu(conv2d(...))` or
@@ -235,16 +246,22 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid", activation=None
     if x.data.shape[2] != c_in:
         raise ShapeMismatch(f"input has {x.data.shape[2]} channels, kernel wants {c_in}")
 
+    t, f = x.data.shape[:2]
     if padding == "same":
-        pad_t = _same_padding(x.data.shape[0], k_t, stride[0])
-        pad_f = _same_padding(x.data.shape[1], k_f, stride[1])
+        pad_t = _same_padding(t, k_t, stride[0])
+        pad_f = _same_padding(f, k_f, stride[1])
         t0, f0 = pad_t // 2, pad_f // 2
-        xd = np.pad(x.data, ((t0, pad_t - t0), (f0, pad_f - f0), (0, 0)))
+        widths = ((t0, pad_t - t0), (f0, pad_f - f0), (0, 0))
     elif padding == "valid":
         t0 = f0 = 0
-        xd = x.data
+        widths = None
     else:
         raise ValueError(f"unknown padding {padding!r}")
+
+    def padded():
+        return x.data if widths is None else np.pad(x.data, widths)
+
+    xd = padded()
     t_in, f_in = xd.shape[:2]
     if k_t > t_in or k_f > f_in:
         raise ShapeMismatch(f"kernel {k_t}x{k_f} larger than padded input {t_in}x{f_in}")
@@ -254,19 +271,22 @@ def conv2d(x, kernel, bias=None, stride=(1, 1), padding="valid", activation=None
         out = _spectral_correlate(xd, kernel.data)
     else:
         out = _correlate(xd, kernel.data, stride)
+    del xd   # before the bias and activation make their temporaries
     if bias is not None:
         bias = as_tensor(bias)
         out = _add_bias(out, bias.data)
 
     def bwd(g):
+        xp = padded()
         if spectral:
-            gk, gx = _spectral_grads(xd, g, kernel.data, x.needs_grad)
+            gk, gx = _spectral_grads(xp, g, kernel.data, x.needs_grad)
         else:
-            gk = _kernel_grad(xd, g, kernel.data.shape, stride)
-            gx = _correlate_adjoint(g, kernel.data, stride, xd.shape) if x.needs_grad else None
+            gk = _kernel_grad(xp, g, kernel.data.shape, stride)
+            gx = _correlate_adjoint(g, kernel.data, stride, xp.shape) if x.needs_grad else None
+        del xp
         accumulate(kernel, gk)
         if gx is not None:
-            accumulate(x, gx[t0:t0 + x.data.shape[0], f0:f0 + x.data.shape[1]])
+            accumulate(x, gx[t0:t0 + t, f0:f0 + f])
         if bias is not None:
             accumulate(bias, g.sum(axis=(0, 1)))
 

@@ -21,16 +21,15 @@ continuing a run.
 A batch accumulates gradients one example at a time, and each example's
 backward pass frees that example's graph as it walks it, so training holds
 one example's activations at a time, whatever the batch size. Each conv
-layer of the RIR stacks and the U-net encoder holds its activation once:
-`nn.conv2d(..., activation=)` writes the ELU or ReLU over the convolution's
-output, which no rule reads, instead of keeping both until backward (as
-In-Place ABN does; Rota Bulo et al., arXiv:1712.02616). That cut the heap
-peak of 4 desk examples from 40.5 to 31.4 MB for `joint` and from 29.7 to
-20.7 MB for `rir`. `train` fixes
-the C allocator's thresholds (`corpus.keep_freed_memory`), as `cli.main`
-does for every command, so a caller that trains without the command line
-gets them too: each step reuses the memory the last one freed, and a desk
-`joint` round makes 0-1.7k minor page faults rather than 16-22k.
+layer holds its activation once: `nn.conv2d(..., activation=)` writes the
+ELU or ReLU over the convolution's output, which no rule reads, instead of
+keeping both until backward (as In-Place ABN does; Rota Bulo et al.,
+arXiv:1712.02616); a same-padded conv keeps its unpadded input, not a
+padded copy; and the U-net decoder's ELU overwrites its transposed
+convolution's output. `train` fixes the C allocator's thresholds
+(`corpus.keep_freed_memory`), as `cli.main` does for every command, so a
+caller that trains without the command line gets them too: each step
+reuses the memory the last one freed instead of faulting fresh pages in.
 """
 
 from __future__ import annotations

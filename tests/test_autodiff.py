@@ -49,6 +49,38 @@ def test_grad_accumulates_over_reuse():
     np.testing.assert_allclose(x.grad, [4.0])
 
 
+def accumulate_in_two_passes(t, g):
+    """The former `accumulate` of a first gradient: zeros, then +=."""
+    grad = np.zeros_like(t.data)
+    grad += g
+    return grad
+
+
+FIRST_GRADIENT_EDGES = [-0.0, np.nan, np.inf, -np.inf, 5e-324, -5e-324, 1e-40, -1e-40,
+                        3e38, 1e300]
+
+
+@pytest.mark.parametrize("g_dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("t_dtype", [np.float32, np.float64])
+def test_a_first_gradient_has_the_bits_of_zeros_then_add(t_dtype, g_dtype):
+    # one pass into a fresh array: -0 becomes 0, NaN and infinities pass,
+    # subnormals stay, and a gradient of the other width is cast as += casts it
+    rng = np.random.default_rng(5)
+    g = rng.standard_normal((300, 257, 8)).astype(g_dtype)
+    with np.errstate(over="ignore", under="ignore"):
+        g.flat[:len(FIRST_GRADIENT_EDGES)] = np.array(FIRST_GRADIENT_EDGES).astype(g_dtype)
+    for grad in (g, np.asarray(-0.0, g_dtype), g_dtype(2.5), -0.0,
+                 np.full((1, 257, 1), -0.0, g_dtype)):   # the last four broadcast
+        with ad.precision(t_dtype):
+            t = ad.Tensor(np.zeros((300, 257, 8)))
+        with np.errstate(over="ignore", under="ignore"):
+            want = accumulate_in_two_passes(t, grad)
+            ad.accumulate(t, grad)
+        assert t.grad.dtype == want.dtype == t_dtype
+        assert t.grad.shape == want.shape
+        assert t.grad.tobytes() == want.tobytes()
+
+
 def test_mse_values_and_gradient():
     a = ad.Tensor(np.array([0.0, 2.0]))
     b = ad.Tensor(np.array([0.0, 0.0]))

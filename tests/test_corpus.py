@@ -324,12 +324,30 @@ def test_example_cache_round_trip(tmp_path):
     back = corpus.load_example(path)
     for name in ("dry_target_logmag", "rir_target_mag", "reverb_target_mag"):
         assert getattr(back, name).dtype == np.float32, name   # as the cache stores them
-    assert back.input_logmag.dtype == np.float64
+    assert back.input_logmag.dtype == np.float32   # the bits a float32 forward reads
     assert np.abs(back.dry_target_logmag - ex.dry_target_logmag).max() < 1e-5
     assert np.abs(back.reverb_target_mag - ex.reverb_target_mag).max() < 1e-7
-    # the log is taken in float64, of the widened target
+    # the log is taken in float64, of the widened target, then cast
     np.testing.assert_array_equal(
-        back.input_logmag, np.log(np.maximum(back.reverb_target_mag.astype(np.float64), 1e-5)))
+        back.input_logmag,
+        np.log(np.maximum(back.reverb_target_mag.astype(np.float64), 1e-5)).astype(np.float32))
+
+
+def test_a_loaded_desk_example_holds_its_arrays_as_float32(tmp_path):
+    rng = np.random.default_rng(9)
+    reverb = rng.uniform(0.01, 1.0, (corpus.INPUT_FRAMES, corpus.BINS))
+    corpus.save_example(corpus.TrainingExample(
+        input_logmag=np.log(reverb),
+        dry_target_logmag=rng.uniform(-3.0, 0.0, reverb.shape),
+        rir_target_mag=rng.uniform(0.0, 1.0, (corpus.RIR_FRAMES, corpus.BINS)),
+        reverb_target_mag=reverb, dry_scale=1.0, rir_scale=1.0, reverb_scale=1.0),
+        tmp_path / "ex.drvb")
+    back = corpus.load_example(tmp_path / "ex.drvb")
+    arrays = [getattr(back, name) for name in ("input_logmag", "dry_target_logmag",
+                                                "rir_target_mag", "reverb_target_mag")]
+    assert {a.dtype for a in arrays} == {np.dtype(np.float32)}
+    assert all(a.base is None or a.base.nbytes == a.nbytes for a in arrays)   # no wider base
+    assert sum(a.nbytes for a in arrays) <= 1.10e6
 
 
 def test_example_cache_rejects_truncation(tmp_path):

@@ -32,6 +32,26 @@ def test_lsd_frame_permutation_invariant():
         evaluation.log_spectral_distance(est[perm], ref[perm]))
 
 
+def lsd_in_the_operands_dtype(est, ref):
+    """The former `log_spectral_distance`, which computed in the operands' dtype."""
+    per_frame = np.sqrt(np.mean((evaluation._LN_TO_DB * (est - ref)) ** 2, axis=1))
+    return float(per_frame.mean())
+
+
+def test_lsd_computes_in_float64_whatever_its_inputs():
+    rng = np.random.default_rng(3)
+    est = rng.uniform(-11.0, 0.0, (313, 257))
+    ref = rng.uniform(-11.0, 0.0, (313, 257)).astype(np.float32)
+    # float64 estimates keep their bits
+    for a, b in ((est, ref), (est, ref.astype(np.float64)), (ref, est)):
+        assert evaluation.log_spectral_distance(a, b) == lsd_in_the_operands_dtype(a, b)
+    # two float32 operands are scored as their float64 widenings, not in float32
+    est32 = est.astype(np.float32)
+    got = evaluation.log_spectral_distance(est32, ref)
+    assert got == lsd_in_the_operands_dtype(est32.astype(np.float64), ref.astype(np.float64))
+    assert got != lsd_in_the_operands_dtype(est32, ref)
+
+
 def test_lsd_shape_mismatch():
     with pytest.raises(ShapeMismatch):
         evaluation.log_spectral_distance(np.zeros((2, 3)), np.zeros((3, 2)))

@@ -101,6 +101,39 @@ def test_conv2d_same_stride_gradients():
     assert nn.grad_check(loss_fn, [x, k, b]) < 1e-5
 
 
+def test_same_padded_conv_backward_repads_with_the_forward_widths(monkeypatch):
+    """The rule pads the input again instead of keeping the padded copy. A
+    mutant whose rule pads with other widths (one row moved from the back
+    to the front, so every shape still fits) must fail the gradient check."""
+    rng = np.random.default_rng(3)
+    x = ad.Tensor(rng.standard_normal((7, 6, 2)))   # pads 1 row in front, 2 behind
+    k = ad.Tensor(rng.standard_normal((4, 4, 2, 3)))
+    b = ad.Tensor(rng.standard_normal(3))
+    target = rng.standard_normal((4, 3, 3))
+    loss_fn = lambda: ad.mse(nn.conv2d(x, k, b, stride=(2, 2), padding="same"), target)
+    assert nn.grad_check(loss_fn, [x, k, b]) < 1e-5
+    in_backward, real_backward, real_pad, shifted = [False], nn.backward, np.pad, []
+
+    def flagged_backward(loss):
+        in_backward[0] = True
+        try:
+            real_backward(loss)
+        finally:
+            in_backward[0] = False
+
+    def shifting_pad(array, widths, *args, **kwargs):
+        if in_backward[0]:
+            (front, back), *rest = widths
+            widths = ((front + 1, back - 1), *rest)
+            shifted.append(widths)
+        return real_pad(array, widths, *args, **kwargs)
+
+    monkeypatch.setattr(nn, "backward", flagged_backward)
+    monkeypatch.setattr(np, "pad", shifting_pad)
+    assert nn.grad_check(loss_fn, [x, k, b]) > 1e-2
+    assert shifted == [((2, 1), (1, 1), (0, 0))]
+
+
 def test_conv2d_transposed_shape():
     x = ad.Tensor(np.zeros((10, 10, 5)))
     k = ad.Tensor(np.zeros((4, 4, 3, 5)))
@@ -374,6 +407,37 @@ def test_spectral_conv2d_gradients_match_fd(padding, monkeypatch):
     target = rng.standard_normal((6 if padding == "valid" else 9, 3, 3))
     loss_fn = lambda: ad.mse(nn.conv2d(x, k, b, padding=padding), target)
     assert nn.grad_check(loss_fn, [x, k, b]) < 1e-5
+
+
+def spectral_grads_with_a_conjugated_copy(x, g, kernel):
+    """The former :func:`nn._spectral_grads`, which conjugated a copy of g_hat."""
+    import scipy.fft as sfft
+    n = nn._fast_len(len(x))
+    k_hat = sfft.rfft(kernel[:, 0], n, axis=0)
+    g_hat = sfft.rfft(g, n, axis=0)
+    x_hat = sfft.rfft(x, n, axis=0).transpose(0, 2, 1)
+    gk = sfft.irfft(x_hat @ g_hat.conj(), n, axis=0)[:len(kernel)]
+    gx = sfft.irfft(g_hat @ k_hat.transpose(0, 2, 1), n, axis=0)[:len(x)]
+    return gk.reshape(kernel.shape), gx
+
+
+# (T, Cin, kT, Cout), F = 257: the five spectral layers of the desk rir stack
+SPECTRAL_GRAD_SHAPES = [(305, 8, 14, 8), (292, 8, 27, 8), (266, 8, 27, 8), (240, 8, 27, 8),
+                        (214, 8, 28, 4)]
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_spectral_grads_have_the_bits_of_the_conjugated_copy(dtype):
+    rng = np.random.default_rng(22)
+    for t, c_in, k_t, c_out in SPECTRAL_GRAD_SHAPES + [(20, 3, 5, 2)]:
+        bins = 257 if t > 20 else 7
+        x = rng.standard_normal((t, bins, c_in)).astype(dtype)
+        kernel = rng.standard_normal((k_t, 1, c_in, c_out)).astype(dtype)
+        g = rng.standard_normal((t - k_t + 1, bins, c_out)).astype(dtype)
+        got, want = nn._spectral_grads(x, g, kernel, True), \
+            spectral_grads_with_a_conjugated_copy(x, g, kernel)
+        assert [a.dtype for a in got] == [np.dtype(dtype)] * 2
+        assert [a.tobytes() for a in got] == [a.tobytes() for a in want], (t, c_in, k_t)
 
 
 def test_spectral_conv2d_of_a_constant_skips_the_input_adjoint(monkeypatch):

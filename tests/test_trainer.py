@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from dereverb import autodiff as ad
-from dereverb import corpus, evaluation, models, nn, trainer
+from dereverb import corpus, dsp, evaluation, models, nn, trainer
 from dereverb.errors import (
     DereverbError,
     NonFiniteLoss,
@@ -131,6 +131,56 @@ def test_training_holds_each_conv_activation_once(kind, monkeypatch):
         [f"{b / 1e6:.1f} MB" for b in (once, twice, sum(kept))]
 
 
+def keeping_padded_inputs(kept):
+    """nn.conv2d that, when "same"-padded, keeps a padded copy of its input
+    until its rule has run, as a rule reading the padded input would."""
+    conv2d = nn.conv2d
+
+    def keeping(x, kernel, bias=None, stride=(1, 1), padding="valid", activation=None):
+        out = conv2d(x, kernel, bias, stride, padding, activation)
+        if padding == "same":
+            pads = [nn._same_padding(n, k, s)
+                    for n, k, s in zip(x.data.shape, kernel.data.shape, stride)]
+            copy = np.pad(x.data, [(p // 2, p - p // 2) for p in pads] + [(0, 0)])
+            kept.append(copy.nbytes)
+            conv = out.parents[0] if activation else out
+            rule = conv.bwd
+            conv.bwd = lambda g, copy=copy: rule(g)
+        return out
+
+    return keeping
+
+
+def out_of_place_elu(kept):
+    """autodiff._elu_into that writes into a fresh buffer, as ad.elu does."""
+    elu_into = ad._elu_into
+
+    def fresh(a, out):
+        kept.append(out.nbytes)
+        return elu_into(a, np.empty_like(a.data))
+
+    return fresh
+
+
+@pytest.mark.parametrize("mutant", ["padded-input-kept", "decoder-elu-out-of-place"])
+def test_unet_training_holds_its_padded_inputs_and_decoder_elus_once(mutant, monkeypatch):
+    """A same-padded conv keeps only its unpadded input, and the U-net
+    decoder's ELU overwrites its transposed conv's output. A mutant that
+    keeps the padded copy, or writes the ELU into a fresh buffer, must raise
+    the heap peak by at least half of the bytes it keeps."""
+    examples = [desk_example(np.random.default_rng(0))]
+    config = trainer.TrainConfig(model="dry-unet", epochs=1, batch_size=1, seed=0)
+    once, kept = train_heap_peak(config, examples), []
+    if mutant == "padded-input-kept":
+        monkeypatch.setattr(nn, "conv2d", keeping_padded_inputs(kept))
+    else:
+        monkeypatch.setattr(ad, "_elu_into", out_of_place_elu(kept))
+    twice = train_heap_peak(config, examples)
+    assert len(kept) == (4 if mutant == "padded-input-kept" else 3)   # levels; decoder ELUs
+    assert twice - once >= 0.5 * sum(kept), \
+        [f"{b / 1e6:.2f} MB" for b in (once, twice, sum(kept))]
+
+
 TARGETS = ("dry_target_logmag", "rir_target_mag", "reverb_target_mag")
 
 
@@ -153,6 +203,31 @@ def test_a_loaded_example_trains_and_scores_as_its_float64_widening(tmp_path, ki
         evaluation.evaluate_model(model, [example], ["ex"]).to_csv(out / "report.csv")
         written.append([(out / name).read_bytes() for name in ("m.ckpt", "m.csv", "report.csv")])
     assert written[0] == written[1]
+
+
+def written_by_training_and_scoring(out, kind, example):
+    """The checkpoint, loss log and report bytes of one epoch on `example`."""
+    out.mkdir()
+    config = trainer.TrainConfig(model=kind, epochs=1, batch_size=1, seed=0)
+    model, _, _ = trainer.train(config, [example], [example],
+                                checkpoint_path=out / "m.ckpt", log_path=out / "m.csv")
+    evaluation.evaluate_model(model, [example], ["ex"]).to_csv(out / "report.csv")
+    return [(out / name).read_bytes() for name in ("m.ckpt", "m.csv", "report.csv")]
+
+
+@pytest.mark.parametrize("kind", models.MODEL_KINDS)
+def test_a_loaded_float32_input_trains_and_scores_as_its_float64_log(tmp_path, kind):
+    """A loaded input is the float32 cast of the float64 log of the widened
+    target, the bits a float32 forward reads: keeping the float64 log
+    instead writes the same bytes."""
+    corpus.save_example(desk_example(np.random.default_rng(3)), tmp_path / "ex.drvb")
+    loaded = corpus.load_example(tmp_path / "ex.drvb")
+    logged = dataclasses.replace(loaded, input_logmag=dsp.log_magnitude(
+        loaded.reverb_target_mag.astype(np.float64)))
+    assert loaded.input_logmag.dtype == np.float32
+    assert logged.input_logmag.astype(np.float32).tobytes() == loaded.input_logmag.tobytes()
+    assert written_by_training_and_scoring(tmp_path / "f32", kind, loaded) == \
+        written_by_training_and_scoring(tmp_path / "f64", kind, logged)
 
 
 def record_dtypes(monkeypatch):
