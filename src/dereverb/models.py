@@ -333,9 +333,7 @@ def reconstruct_reverb(rir_mag_est, dry_mag) -> Tensor:
             or rir_mag_est.data.shape[1] != dry_mag.data.shape[1]:
         raise ShapeMismatch(
             f"rir {rir_mag_est.data.shape} vs dry {dry_mag.data.shape}")
-    # widened once, not per product: numpy's einsum over mixed dtypes gives
-    # the same bits, but slower
-    rir = rir_mag_est.data.astype(np.result_type(rir_mag_est.data, dry_mag.data), copy=False)
+    rir = rir_mag_est.data
     out = _frame_convolve(rir, dry_mag.data)
 
     def bwd(g):

@@ -186,13 +186,17 @@ TARGETS = ("dry_target_logmag", "rir_target_mag", "reverb_target_mag")
 
 @pytest.mark.parametrize("kind", models.MODEL_KINDS)
 def test_a_loaded_example_trains_and_scores_as_its_float64_widening(tmp_path, kind):
-    """Loaded targets are float32, as the cache stores them; training on them
-    and scoring them writes the bytes their float64 widening gives."""
+    """Loaded targets are float32, as the cache stores them, and so is the
+    loaded input, the float32 cast of the float64 log of the widened target.
+    Training on them and scoring them writes the bytes their float64 forms
+    give."""
     corpus.save_example(desk_example(np.random.default_rng(3)), tmp_path / "ex.drvb")
     loaded = corpus.load_example(tmp_path / "ex.drvb")
     assert {getattr(loaded, name).dtype for name in TARGETS} == {np.dtype(np.float32)}
+    assert loaded.input_logmag.dtype == np.float32
     widened = dataclasses.replace(
-        loaded, **{name: getattr(loaded, name).astype(np.float64) for name in TARGETS})
+        loaded, **{name: getattr(loaded, name).astype(np.float64) for name in TARGETS},
+        input_logmag=dsp.log_magnitude(loaded.reverb_target_mag.astype(np.float64)))
     written = []
     for i, example in enumerate((loaded, widened)):
         out = tmp_path / str(i)
@@ -203,31 +207,6 @@ def test_a_loaded_example_trains_and_scores_as_its_float64_widening(tmp_path, ki
         evaluation.evaluate_model(model, [example], ["ex"]).to_csv(out / "report.csv")
         written.append([(out / name).read_bytes() for name in ("m.ckpt", "m.csv", "report.csv")])
     assert written[0] == written[1]
-
-
-def written_by_training_and_scoring(out, kind, example):
-    """The checkpoint, loss log and report bytes of one epoch on `example`."""
-    out.mkdir()
-    config = trainer.TrainConfig(model=kind, epochs=1, batch_size=1, seed=0)
-    model, _, _ = trainer.train(config, [example], [example],
-                                checkpoint_path=out / "m.ckpt", log_path=out / "m.csv")
-    evaluation.evaluate_model(model, [example], ["ex"]).to_csv(out / "report.csv")
-    return [(out / name).read_bytes() for name in ("m.ckpt", "m.csv", "report.csv")]
-
-
-@pytest.mark.parametrize("kind", models.MODEL_KINDS)
-def test_a_loaded_float32_input_trains_and_scores_as_its_float64_log(tmp_path, kind):
-    """A loaded input is the float32 cast of the float64 log of the widened
-    target, the bits a float32 forward reads: keeping the float64 log
-    instead writes the same bytes."""
-    corpus.save_example(desk_example(np.random.default_rng(3)), tmp_path / "ex.drvb")
-    loaded = corpus.load_example(tmp_path / "ex.drvb")
-    logged = dataclasses.replace(loaded, input_logmag=dsp.log_magnitude(
-        loaded.reverb_target_mag.astype(np.float64)))
-    assert loaded.input_logmag.dtype == np.float32
-    assert logged.input_logmag.astype(np.float32).tobytes() == loaded.input_logmag.tobytes()
-    assert written_by_training_and_scoring(tmp_path / "f32", kind, loaded) == \
-        written_by_training_and_scoring(tmp_path / "f64", kind, logged)
 
 
 def record_dtypes(monkeypatch):
